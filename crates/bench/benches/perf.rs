@@ -215,9 +215,11 @@ fn p7_fixpoint(c: &mut Criterion) {
             .len();
         // The fixpoint loop's inner step: the optimizer accepted a
         // reordering move (a config change), and the statistics must be
-        // re-validated for the edited circuit. The incremental engine
-        // recomposes the touched gate, hash-conses to the identical
-        // per-net BDD, and proves the dirty cone empty in one step.
+        // re-validated for the edited circuit. The propagator sees the
+        // touched gate's cell unchanged and drops it (§4.2: the move
+        // preserves the gate's function), so this times that filter: no
+        // compile, no BDD recomposition. `p7_fixpoint_cell_*` times a
+        // refresh that does reach the engine.
         c.bench_function(&format!("p7_fixpoint_incremental_{name}"), |b| {
             let mut edited = circuit.clone();
             let mut prop = tr_power::IncrementalPropagator::new(

@@ -712,6 +712,7 @@ impl Flow {
         let circuit = {
             let _s = tr_trace::span!("flow.load");
             let circuit = self.source.load(&env.library, &self.map_options)?;
+            let _v = tr_trace::span!("load.validate", gates = circuit.gates().len());
             circuit.validate(&env.library)?;
             circuit
         };
@@ -1015,9 +1016,11 @@ impl Flow {
             // Exact backends used to report the optimized circuit's
             // power under pre-optimization statistics — sound for the
             // paper's config-only moves (§4.2) but never checked. Now
-            // the dirty cones of the accepted changes are re-propagated
-            // and the final number recomputed fresh, recording how far
-            // off the stale report would have been.
+            // the accepted changes go through the propagator, which
+            // re-derives the cones of those that changed a cell (none,
+            // for reordering moves), and the final number is recomputed
+            // fresh, recording how far off the stale report would have
+            // been.
             if prob != PropagationMode::Independent && primary.changed_gates > 0 {
                 let dirty = changed_gate_ids(circuit, &primary.circuit);
                 match propagator.refresh(&primary.circuit, &env.library, &dirty) {

@@ -107,17 +107,16 @@ pub fn parse_netlist(
     library: &Library,
     options: &MapOptions,
 ) -> Result<Circuit, Error> {
-    match format {
-        NetlistFormat::Bench => {
-            let generic = bench::parse(name, text)?;
-            Ok(map::map(&generic, library, options))
+    let generic = {
+        let _s = tr_trace::span!("load.parse", bytes = text.len());
+        match format {
+            NetlistFormat::Bench => bench::parse(name, text)?,
+            NetlistFormat::Blif => blif::parse(text)?,
+            NetlistFormat::Trnet => return Ok(format::parse(text, library)?),
         }
-        NetlistFormat::Blif => {
-            let generic = blif::parse(text)?;
-            Ok(map::map(&generic, library, options))
-        }
-        NetlistFormat::Trnet => Ok(format::parse(text, library)?),
-    }
+    };
+    let _s = tr_trace::span!("load.map", signals = generic.signal_count());
+    Ok(map::map(&generic, library, options))
 }
 
 #[cfg(test)]

@@ -77,6 +77,9 @@ pub struct Circuit {
     net_names: Vec<String>,
     primary_inputs: Vec<NetId>,
     primary_outputs: Vec<NetId>,
+    /// Per-net membership in `primary_outputs`, one entry per net, so
+    /// [`Circuit::mark_output`] deduplicates in O(1).
+    is_output: Vec<bool>,
     gates: Vec<Gate>,
 }
 
@@ -88,6 +91,7 @@ impl Circuit {
             net_names: Vec::new(),
             primary_inputs: Vec::new(),
             primary_outputs: Vec::new(),
+            is_output: Vec::new(),
             gates: Vec::new(),
         }
     }
@@ -100,6 +104,7 @@ impl Circuit {
     /// Adds a fresh net with the given name and returns its id.
     pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
         self.net_names.push(name.into());
+        self.is_output.push(false);
         NetId(self.net_names.len() - 1)
     }
 
@@ -110,9 +115,15 @@ impl Circuit {
         id
     }
 
-    /// Marks a net as a primary output.
+    /// Marks a net as a primary output (a net marked twice stays listed
+    /// once, at its first position).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
     pub fn mark_output(&mut self, net: NetId) {
-        if !self.primary_outputs.contains(&net) {
+        if !self.is_output[net.0] {
+            self.is_output[net.0] = true;
             self.primary_outputs.push(net);
         }
     }
@@ -231,7 +242,12 @@ impl Circuit {
     ///
     /// Returns [`CircuitError::Cycle`] if the netlist is cyclic.
     pub fn topological_order(&self) -> Result<Vec<GateId>, CircuitError> {
-        let drivers = self.drivers();
+        // Driver lookup indexed by net; on a doubly driven net the last
+        // gate wins, as in [`Circuit::drivers`].
+        let mut drivers: Vec<Option<GateId>> = vec![None; self.net_count()];
+        for (i, g) in self.gates.iter().enumerate() {
+            drivers[g.output.0] = Some(GateId(i));
+        }
         let mut state = vec![0u8; self.gates.len()]; // 0 new, 1 open, 2 done
         let mut order = Vec::with_capacity(self.gates.len());
         // Iterative DFS so deep circuits (long adder chains) cannot blow
@@ -247,7 +263,7 @@ impl Circuit {
                 if *next < gate.inputs.len() {
                     let input = gate.inputs[*next];
                     *next += 1;
-                    if let Some(&dep) = drivers.get(&input) {
+                    if let Some(&Some(dep)) = drivers.get(input.0) {
                         match state[dep.0] {
                             0 => {
                                 state[dep.0] = 1;
@@ -274,9 +290,13 @@ impl Circuit {
     /// Returns the first violation found; see [`CircuitError`].
     pub fn validate(&self, library: &Library) -> Result<(), CircuitError> {
         // Single driver per net; primary inputs undriven.
+        let mut is_input = vec![false; self.net_count()];
+        for pi in &self.primary_inputs {
+            is_input[pi.0] = true;
+        }
         let mut driven = vec![false; self.net_count()];
         for (i, g) in self.gates.iter().enumerate() {
-            if driven[g.output.0] || self.primary_inputs.contains(&g.output) {
+            if driven[g.output.0] || is_input[g.output.0] {
                 return Err(CircuitError::MultipleDrivers(g.output));
             }
             driven[g.output.0] = true;
@@ -291,7 +311,7 @@ impl Circuit {
             }
         }
         for (n, &is_driven) in driven.iter().enumerate() {
-            if !is_driven && !self.primary_inputs.contains(&NetId(n)) {
+            if !is_driven && !is_input[n] {
                 return Err(CircuitError::Undriven(NetId(n)));
             }
         }
@@ -341,26 +361,20 @@ impl Circuit {
             Ok(o) => o,
             Err(_) => return 0,
         };
-        let drivers = self.drivers();
-        let mut depth: HashMap<NetId, usize> = HashMap::new();
+        // Undriven nets (primary inputs) stay at depth 0.
+        let mut depth = vec![0usize; self.net_count()];
         for gid in order {
             let gate = &self.gates[gid.0];
             let d = gate
                 .inputs
                 .iter()
-                .map(|n| {
-                    if drivers.contains_key(n) {
-                        depth.get(n).copied().unwrap_or(0)
-                    } else {
-                        0
-                    }
-                })
+                .map(|n| depth.get(n.0).copied().unwrap_or(0))
                 .max()
                 .unwrap_or(0)
                 + 1;
-            depth.insert(gate.output, d);
+            depth[gate.output.0] = d;
         }
-        depth.values().copied().max().unwrap_or(0)
+        depth.into_iter().max().unwrap_or(0)
     }
 }
 

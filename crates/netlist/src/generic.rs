@@ -105,6 +105,10 @@ pub struct GenericCircuit {
     name_index: HashMap<String, usize>,
     inputs: Vec<usize>,
     outputs: Vec<usize>,
+    /// Per-signal membership in `inputs` and `outputs`, one entry per
+    /// signal, so the declaration methods deduplicate in O(1).
+    is_input: Vec<bool>,
+    is_output: Vec<bool>,
     gates: Vec<GenericGate>,
 }
 
@@ -117,6 +121,8 @@ impl GenericCircuit {
             name_index: HashMap::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
+            is_input: Vec::new(),
+            is_output: Vec::new(),
             gates: Vec::new(),
         }
     }
@@ -132,6 +138,8 @@ impl GenericCircuit {
             return i;
         }
         self.signal_names.push(name.to_string());
+        self.is_input.push(false);
+        self.is_output.push(false);
         let i = self.signal_names.len() - 1;
         self.name_index.insert(name.to_string(), i);
         i
@@ -140,7 +148,8 @@ impl GenericCircuit {
     /// Declares a signal as primary input (interning it).
     pub fn add_input(&mut self, name: &str) -> usize {
         let i = self.signal(name);
-        if !self.inputs.contains(&i) {
+        if !self.is_input[i] {
+            self.is_input[i] = true;
             self.inputs.push(i);
         }
         i
@@ -149,7 +158,8 @@ impl GenericCircuit {
     /// Declares a signal as primary output (interning it).
     pub fn add_output(&mut self, name: &str) -> usize {
         let i = self.signal(name);
-        if !self.outputs.contains(&i) {
+        if !self.is_output[i] {
+            self.is_output[i] = true;
             self.outputs.push(i);
         }
         i

@@ -6,9 +6,15 @@
 //! monotonicity lemma of §4.2), but an accepted *cell* change does: the
 //! fanout cone of the edited gate carries stale probabilities and
 //! densities from that point on. [`IncrementalPropagator`] keeps one
-//! statistics vector alive across edits and, on
-//! [`IncrementalPropagator::refresh`], re-derives exactly the dirty
-//! cone under the active backend:
+//! statistics vector alive across edits, together with the cell each
+//! gate had when the statistics were last derived. On
+//! [`IncrementalPropagator::refresh`] it first drops every dirty gate
+//! whose cell is unchanged: no backend reads a gate's configuration
+//! (they see cells and wiring only), so such a gate cannot move any
+//! statistic. A refresh left with no function-changing gate returns at
+//! once, without compiling the circuit or touching an engine. Otherwise
+//! the circuit is compiled once and the remaining gates' dirty cone is
+//! re-derived under the active backend:
 //!
 //! * [`PropagationMode::Independent`] — gate-local re-propagation over
 //!   the cone only, pruned the moment a recomputed net's statistics
@@ -47,7 +53,7 @@ use crate::{propagate, PropagationError, PropagationMode};
 use tr_bdd::{BuildOptions, CircuitBdds, EngineStats};
 use tr_boolean::govern::Governor;
 use tr_boolean::{prob, SignalStats};
-use tr_gatelib::Library;
+use tr_gatelib::{CellId, Library};
 use tr_netlist::partition::Partition;
 use tr_netlist::{Circuit, CompiledCircuit, GateId, NetId};
 
@@ -84,6 +90,10 @@ struct PartitionState {
     /// Fraction of gate-driven nets not provably exact under the cut,
     /// captured at construction (see [`Partition::approx_fraction`]).
     approx_fraction: f64,
+}
+
+fn cells_of(compiled: &CompiledCircuit) -> Vec<CellId> {
+    compiled.gates().iter().map(|g| g.cell).collect()
 }
 
 fn expander_map(partition: &Partition, n_gates: usize) -> Vec<Vec<u32>> {
@@ -134,6 +144,9 @@ pub struct IncrementalPropagator {
     mode: PropagationMode,
     pi_stats: Vec<SignalStats>,
     net_stats: Vec<SignalStats>,
+    /// Each gate's cell as of the last statistics update: a dirty gate
+    /// whose cell still matches changed only its configuration.
+    cells: Vec<CellId>,
     /// The long-lived engine of the `ExactBdd` backend (`None` for the
     /// other modes).
     bdds: Option<CircuitBdds>,
@@ -207,8 +220,17 @@ impl IncrementalPropagator {
         );
         let mut bdds = None;
         let mut partition_state = None;
-        let net_stats = match mode {
-            PropagationMode::Independent => propagate(circuit, library, pi_stats),
+        let (net_stats, cells) = match mode {
+            PropagationMode::Independent => {
+                // Interning the cells is all this backend needs of a
+                // compile; it propagates over the circuit itself.
+                let cells = circuit
+                    .gates()
+                    .iter()
+                    .map(|g| library.cell_id(&g.cell).expect("unknown cell"))
+                    .collect();
+                (propagate(circuit, library, pi_stats), cells)
+            }
             PropagationMode::ExactBdd => {
                 let compiled = CompiledCircuit::compile(circuit, library)?;
                 let build = BuildOptions {
@@ -234,7 +256,7 @@ impl IncrementalPropagator {
                 };
                 let stats = engine.exact_stats(pi_stats)?;
                 bdds = Some(engine);
-                stats
+                (stats, cells_of(&compiled))
             }
             PropagationMode::PartitionedBdd {
                 max_region_nodes,
@@ -242,8 +264,7 @@ impl IncrementalPropagator {
             } => {
                 // Evaluate serially through the same RegionEvaluator
                 // later refreshes use, so a refreshed region reproduces
-                // its statistics bit-for-bit (no-cascade on config-only
-                // edits depends on this).
+                // its statistics bit-for-bit.
                 let compiled = CompiledCircuit::compile(circuit, library)?;
                 // The run-level node budget caps the per-region budget:
                 // every region engine is bounded separately, so the cap
@@ -282,11 +303,11 @@ impl IncrementalPropagator {
                     expanders,
                     approx_fraction,
                 });
-                stats
+                (stats, cells_of(&compiled))
             }
             PropagationMode::Monte { steps, seed } => {
                 let compiled = CompiledCircuit::compile(circuit, library)?;
-                monte::estimate_governed(
+                let stats = monte::estimate_governed(
                     &compiled,
                     library,
                     pi_stats,
@@ -294,13 +315,15 @@ impl IncrementalPropagator {
                     monte_dt(pi_stats),
                     seed,
                     options.governor.as_ref(),
-                )?
+                )?;
+                (stats, cells_of(&compiled))
             }
         };
         Ok(IncrementalPropagator {
             mode,
             pi_stats: pi_stats.to_vec(),
             net_stats,
+            cells,
             bdds,
             partition: partition_state,
             // The Monte backend has no engine to pin a governor to; keep
@@ -389,11 +412,20 @@ impl IncrementalPropagator {
     /// the one the propagator last saw — exactly what
     /// [`Circuit::set_config`]/[`Circuit::set_cell`] guarantee.
     ///
+    /// Dirty gates whose cell is the one the propagator last saw are
+    /// dropped first: they changed only their configuration, which
+    /// preserves the gate's function (§4.2) and is read by no backend,
+    /// so they cannot move any statistic. When no gate is left the call
+    /// returns an empty set without compiling `circuit` or running the
+    /// backend; it still counts in
+    /// [`IncrementalPropagator::repropagations`].
+    ///
     /// Returns the nets whose statistics actually changed, in
     /// topological order (empty for a config-only edit; every net for a
-    /// Monte re-estimate) — the set a power delta pass must re-score
-    /// against, see [`IncrementalPower::rescore`]. The refreshed vector
-    /// itself is read back via [`IncrementalPropagator::net_stats`].
+    /// Monte re-estimate of a cell edit) — the set a power delta pass
+    /// must re-score against, see [`IncrementalPower::rescore`]. The
+    /// refreshed vector itself is read back via
+    /// [`IncrementalPropagator::net_stats`].
     ///
     /// # Errors
     ///
@@ -414,31 +446,43 @@ impl IncrementalPropagator {
             self.net_stats.len(),
             "circuit must keep its net numbering across edits"
         );
-        let _g = tr_trace::span!("prop.refresh", dirty_gates = dirty_gates.len());
         self.repropagations += 1;
+        let changed: Vec<GateId> = dirty_gates
+            .iter()
+            .copied()
+            .filter(|g| circuit.gate(*g).cell != *library.cell_by_id(self.cells[g.0]).kind())
+            .collect();
+        let _g = tr_trace::span!(
+            "prop.refresh",
+            dirty_gates = dirty_gates.len(),
+            changed_function = changed.len()
+        );
+        if changed.is_empty() {
+            return Ok(Vec::new());
+        }
+        let compiled = CompiledCircuit::compile(circuit, library)?;
         let dirty = match self.mode {
             PropagationMode::Independent => {
-                let order = circuit.topological_order()?;
-                let mut gate_dirty = vec![false; circuit.gates().len()];
-                for &g in dirty_gates {
+                let mut gate_dirty = vec![false; compiled.gates().len()];
+                for &g in &changed {
                     gate_dirty[g.0] = true;
                 }
-                let mut net_dirty = vec![false; circuit.net_count()];
+                let mut net_dirty = vec![false; compiled.net_count()];
                 let mut dirty = Vec::new();
                 let mut buf = [SignalStats::constant(false); MAX_CELL_ARITY];
-                for gid in order {
-                    let gate = circuit.gate(gid);
-                    if !gate_dirty[gid.0] && !gate.inputs.iter().any(|n| net_dirty[n.0]) {
+                for &gid in compiled.order() {
+                    let gate = &compiled.gates()[gid.0];
+                    let inputs = compiled.inputs(gate);
+                    if !gate_dirty[gid.0] && !inputs.iter().any(|n| net_dirty[n.0]) {
                         continue;
                     }
-                    let cell = library.cell(&gate.cell).expect("unknown cell");
-                    for (slot, net) in buf.iter_mut().zip(&gate.inputs) {
+                    for (slot, net) in buf.iter_mut().zip(inputs) {
                         *slot = self.net_stats[net.0];
                     }
-                    let new = prob::propagate(cell.function(), &buf[..gate.inputs.len()]);
+                    let function = library.cell_by_id(gate.cell).function();
+                    let new = prob::propagate(function, &buf[..inputs.len()]);
                     // The cone ends wherever the recomputed statistics
-                    // come out unchanged (e.g. everywhere, for a
-                    // config-only edit).
+                    // come out unchanged.
                     if new != self.net_stats[gate.output.0] {
                         self.net_stats[gate.output.0] = new;
                         net_dirty[gate.output.0] = true;
@@ -448,9 +492,8 @@ impl IncrementalPropagator {
                 dirty
             }
             PropagationMode::ExactBdd => {
-                let compiled = CompiledCircuit::compile(circuit, library)?;
                 let bdds = self.bdds.as_mut().expect("ExactBdd retains its engine");
-                let dirty = bdds.repropagate(&compiled, library, dirty_gates)?;
+                let dirty = bdds.repropagate(&compiled, library, &changed)?;
                 bdds.exact_stats_into(&self.pi_stats, &dirty, &mut self.net_stats)?;
                 dirty
             }
@@ -459,17 +502,16 @@ impl IncrementalPropagator {
                 // region whose outputs change dirties its dependents.
                 // Regions are topologically indexed, so one pass in
                 // index order settles the cascade, and the re-evaluation
-                // is bit-for-bit the constructor's pass — a config-only
-                // edit reproduces identical statistics and the cascade
-                // stops immediately.
-                let compiled = CompiledCircuit::compile(circuit, library)?;
+                // is bit-for-bit the constructor's pass — a region whose
+                // inputs did not move reproduces identical statistics
+                // and the cascade stops there.
                 let state = self
                     .partition
                     .as_mut()
                     .expect("PartitionedBdd retains its partition");
                 let n_regions = state.partition.regions().len();
                 let mut region_dirty = vec![false; n_regions];
-                for &g in dirty_gates {
+                for &g in &changed {
                     region_dirty[state.partition.region_of(g)] = true;
                     // Regions that re-expanded this gate behind their cut
                     // hold a private copy of its logic; refresh them too.
@@ -489,19 +531,19 @@ impl IncrementalPropagator {
                         state
                             .evaluator
                             .evaluate(&compiled, library, region, &self.net_stats)?;
-                    let mut changed: Vec<(NetId, SignalStats)> = Vec::new();
+                    let mut moved: Vec<(NetId, SignalStats)> = Vec::new();
                     for (net, s) in region.outputs.iter().zip(out) {
                         if *s != self.net_stats[net.0] {
-                            changed.push((*net, *s));
+                            moved.push((*net, *s));
                         }
                     }
-                    if changed.is_empty() {
+                    if moved.is_empty() {
                         continue;
                     }
                     for &dep in state.partition.dependents(r) {
                         region_dirty[dep as usize] = true;
                     }
-                    for (net, s) in changed {
+                    for (net, s) in moved {
                         self.net_stats[net.0] = s;
                         dirty.push(net);
                     }
@@ -512,7 +554,6 @@ impl IncrementalPropagator {
                 // Sampling has no cone structure to exploit; re-estimate
                 // with the same budget, interval and seed so an
                 // unchanged circuit reproduces its estimate exactly.
-                let compiled = CompiledCircuit::compile(circuit, library)?;
                 self.net_stats = monte::estimate_governed(
                     &compiled,
                     library,
@@ -525,6 +566,9 @@ impl IncrementalPropagator {
                 (0..self.net_stats.len()).map(NetId).collect()
             }
         };
+        for g in changed {
+            self.cells[g.0] = compiled.gates()[g.0].cell;
+        }
         self.refreshed_nets += dirty.len();
         Ok(dirty)
     }

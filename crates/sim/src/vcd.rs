@@ -34,8 +34,16 @@ pub fn write(circuit: &Circuit, trace: &Trace) -> String {
     let _ = writeln!(out, "$version tr-sim switch-level simulator $end");
     let _ = writeln!(out, "$timescale 1 fs $end");
 
-    let is_input = |n: NetId| circuit.primary_inputs().contains(&n);
-    let is_output = |n: NetId| circuit.primary_outputs().contains(&n);
+    let mut input_mask = vec![false; circuit.net_count()];
+    for n in circuit.primary_inputs() {
+        input_mask[n.0] = true;
+    }
+    let mut output_mask = vec![false; circuit.net_count()];
+    for n in circuit.primary_outputs() {
+        output_mask[n.0] = true;
+    }
+    let is_input = |n: NetId| input_mask[n.0];
+    let is_output = |n: NetId| output_mask[n.0];
 
     let _ = writeln!(out, "$scope module {} $end", sanitize(circuit.name()));
     let _ = writeln!(out, "$scope module inputs $end");

@@ -166,19 +166,26 @@ impl<'a> Parser<'a> {
                         Some(b'u') => {
                             self.pos += 1;
                             let cp = self.parse_hex4()?;
-                            // Decode a UTF-16 surrogate pair if one follows.
-                            let c = if (0xd800..0xdc00).contains(&cp)
+                            // A high surrogate followed by an escaped low
+                            // surrogate is one supplementary character;
+                            // any other surrogate is unpaired and decodes
+                            // to U+FFFD without swallowing what follows.
+                            let mut c = char::from_u32(cp);
+                            if (0xd800..0xdc00).contains(&cp)
                                 && self.bytes[self.pos..].starts_with(b"\\u")
                             {
+                                let resume = self.pos;
                                 self.pos += 2;
                                 let lo = self.parse_hex4()?;
-                                let combined =
-                                    0x10000 + ((cp - 0xd800) << 10) + (lo.wrapping_sub(0xdc00));
-                                char::from_u32(combined).unwrap_or('\u{fffd}')
-                            } else {
-                                char::from_u32(cp).unwrap_or('\u{fffd}')
-                            };
-                            out.push(c);
+                                if (0xdc00..0xe000).contains(&lo) {
+                                    c = char::from_u32(
+                                        0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00),
+                                    );
+                                } else {
+                                    self.pos = resume;
+                                }
+                            }
+                            out.push(c.unwrap_or('\u{fffd}'));
                             continue; // parse_hex4 already advanced
                         }
                         _ => return Err(self.err("invalid escape")),
