@@ -762,8 +762,8 @@ impl Bdd {
     /// variables **without deallocating**: the node pool, unique table,
     /// operation caches and mark bitmap all keep their grown capacity, so
     /// a pool worker can evaluate hundreds of regions through one engine
-    /// with zero steady-state allocation (the same pattern as
-    /// `optimize_with_scratch`).
+    /// with zero steady-state allocation (the same pattern as the
+    /// optimizer's caller-owned `Scratch`).
     ///
     /// Every previously returned [`Edge`] is invalidated, all roots are
     /// dropped, and the GC epoch advances so caller-held [`ProbScratch`]/

@@ -15,7 +15,7 @@
 //! * P8 — the cone-partitioned exact backend: propagation on mult8
 //!   (against `p6_bdd_propagate_mult8`, the monolithic engine it must
 //!   beat ≥2×) and on mult16, past the monolithic ceiling, plus
-//!   region-sharded parallel optimization.
+//!   gate-parallel optimization against its exact statistics.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use tr_bench::Harness;
@@ -24,7 +24,7 @@ use tr_flow::{BatchJob, BatchRunner, Flow, ScenarioSpec};
 use tr_gatelib::CellKind;
 use tr_netlist::{generators, Circuit};
 use tr_power::scenario::Scenario;
-use tr_reorder::{optimize, optimize_parallel, Objective};
+use tr_reorder::{optimize, optimize_with, Objective, OptimizeOptions};
 use tr_sim::{simulate, SimConfig};
 use tr_spnet::pivot;
 
@@ -100,16 +100,24 @@ fn p3_optimize(c: &mut Criterion) {
             ))
         })
     });
+    let four = OptimizeOptions {
+        threads: 4,
+        ..OptimizeOptions::default()
+    };
     c.bench_function("p3_optimize_rca16_parallel4", |b| {
         b.iter(|| {
-            std::hint::black_box(optimize_parallel(
-                &rca16,
-                &h.library,
-                &h.model,
-                &stats,
-                Objective::MinimizePower,
-                4,
-            ))
+            let net_stats = tr_power::propagate(&rca16, &h.library, &stats);
+            std::hint::black_box(
+                optimize_with(
+                    &rca16,
+                    &h.library,
+                    &h.model,
+                    &net_stats,
+                    &four,
+                    &mut tr_power::Scratch::new(),
+                )
+                .expect("ungoverned"),
+            )
         })
     });
 }
@@ -279,7 +287,7 @@ fn p7_fixpoint(c: &mut Criterion) {
 }
 
 fn p8_partitioned(c: &mut Criterion) {
-    use tr_power::partition::{packing_options, propagate_partitioned, PartitionConfig};
+    use tr_power::partition::{propagate_partitioned, PartitionConfig};
 
     let h = Harness::new();
     let mult8 = generators::array_multiplier(8, &h.library);
@@ -322,47 +330,26 @@ fn p8_partitioned(c: &mut Criterion) {
         })
     });
 
-    // Region-sharded optimization: exact per-net statistics feeding the
-    // reorderer, workers claiming whole regions (dirty statistics stay
-    // region-local), against the plain gate-parallel traversal.
-    let compiled = tr_netlist::CompiledCircuit::compile(&mult8, &h.library).expect("compiles");
-    let part = tr_netlist::partition::partition(
-        &compiled,
-        &packing_options(
-            tr_power::partition::DEFAULT_REGION_NODES,
-            tr_power::partition::DEFAULT_CUT_WIDTH,
-            None,
-        ),
-    );
+    // Exact per-net statistics feeding the gate-parallel reorderer.
     let (net_stats, _) =
         propagate_partitioned(&mult8, &h.library, &pi, &default_config).expect("fits");
-    c.bench_function("p8_partitioned_optimize_mult8_sharded4", |b| {
+    let four = OptimizeOptions {
+        threads: 4,
+        ..OptimizeOptions::default()
+    };
+    c.bench_function("p8_partitioned_optimize_mult8_parallel4", |b| {
         b.iter(|| {
             std::hint::black_box(
-                tr_reorder::optimize_sharded_governed_with_net_stats(
+                optimize_with(
                     &mult8,
                     &h.library,
                     &h.model,
                     &net_stats,
-                    Objective::MinimizePower,
-                    &part,
-                    4,
-                    None,
+                    &four,
+                    &mut tr_power::Scratch::new(),
                 )
                 .expect("ungoverned"),
             )
-        })
-    });
-    c.bench_function("p8_partitioned_optimize_mult8_parallel4", |b| {
-        b.iter(|| {
-            std::hint::black_box(tr_reorder::optimize_parallel_with_net_stats(
-                &mult8,
-                &h.library,
-                &h.model,
-                &net_stats,
-                Objective::MinimizePower,
-                4,
-            ))
         })
     });
 }

@@ -191,9 +191,9 @@ impl BatchRunner {
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0` (same contract as
-    /// [`Flow::threads`] and `tr_reorder::optimize_parallel` — this
-    /// used to clamp silently while the others panicked).
+    /// Panics if `threads == 0` (same contract as [`Flow::threads`] and
+    /// [`tr_reorder::optimize_with`] — this used to clamp silently while
+    /// the others panicked).
     pub fn threads(mut self, threads: usize) -> Self {
         assert!(threads > 0, "need at least one thread");
         self.threads = threads;

@@ -25,9 +25,7 @@ use tr_power::{
     PropagatorOptions, Scratch,
 };
 use tr_reorder::{
-    optimize_delay_bounded_with_net_stats, optimize_governed_with_net_stats,
-    optimize_parallel_governed_with_net_stats, optimize_sharded_governed_with_net_stats,
-    optimize_slack_aware_with_net_stats, optimize_to_fixpoint_governed, FixpointOptions, Objective,
+    optimize_to_fixpoint, optimize_with, Bound, FixpointOptions, Objective, OptimizeOptions,
     OptimizeResult,
 };
 use tr_sim::{simulate_governed, simulate_traced, vcd, InputDrive, SimConfig};
@@ -537,13 +535,14 @@ impl Flow {
         self
     }
 
-    /// Optimizer worker threads (default 1; >1 uses the parallel
-    /// work-queue traversal, identical results).
+    /// Optimizer worker threads (default 1; >1 lets large circuits use
+    /// the work-queue pool of [`tr_reorder::optimize_with`], identical
+    /// results).
     ///
     /// # Panics
     ///
     /// Panics if `threads == 0` (same contract as
-    /// [`tr_reorder::optimize_parallel`] and
+    /// [`tr_reorder::OptimizeOptions::threads`] and
     /// [`BatchRunner::threads`](crate::BatchRunner::threads)).
     pub fn threads(mut self, threads: usize) -> Self {
         assert!(threads > 0, "need at least one thread");
@@ -961,7 +960,7 @@ impl Flow {
             } else {
                 run_governor.clone()
             };
-            let rep = match optimize_to_fixpoint_governed(
+            let rep = match optimize_to_fixpoint(
                 circuit,
                 &env.library,
                 &env.model,
@@ -988,7 +987,7 @@ impl Flow {
                     )?;
                     propagator = rebuilt;
                     prob = rebuilt_mode;
-                    optimize_to_fixpoint_governed(
+                    optimize_to_fixpoint(
                         circuit,
                         &env.library,
                         &env.model,
@@ -1003,16 +1002,10 @@ impl Flow {
             stale_power_discrepancy_w = Some(rep.stale_discrepancy_w());
             rep.result
         } else {
-            let mut primary = self.optimize_once_degradable(
-                env,
-                circuit,
-                &net_stats,
-                self.objective,
-                propagator.partition(),
-                scratch,
-                run_governor.as_ref(),
-                &mut ladder,
-            )?;
+            let mut primary =
+                self.degradable("optimize", run_governor.as_ref(), &mut ladder, |governor| {
+                    self.optimize_once(env, circuit, &net_stats, self.objective, scratch, governor)
+                })?;
             // Exact backends used to report the optimized circuit's
             // power under pre-optimization statistics — sound for the
             // paper's config-only moves (§4.2) but never checked. Now
@@ -1020,10 +1013,13 @@ impl Flow {
             // re-derives the cones of those that changed a cell (none,
             // for reordering moves), and the final number is recomputed
             // fresh, recording how far off the stale report would have
-            // been.
+            // been. A refresh that re-derived no net leaves the
+            // statistics the optimizer just scored the final circuit
+            // against, so its `power_after` already is the fresh total.
             if prob != PropagationMode::Independent && primary.changed_gates > 0 {
                 let dirty = changed_gate_ids(circuit, &primary.circuit);
                 match propagator.refresh(&primary.circuit, &env.library, &dirty) {
+                    Ok(nets) if nets.is_empty() => stale_power_discrepancy_w = Some(0.0),
                     Ok(_) => {
                         let fresh =
                             circuit_power(&primary.circuit, &env.model, propagator.net_stats())
@@ -1049,16 +1045,11 @@ impl Flow {
                 Objective::MinimizePower => Objective::MaximizePower,
                 Objective::MaximizePower => Objective::MinimizePower,
             };
-            Some(self.optimize_once_degradable(
-                env,
-                circuit,
-                &net_stats,
-                opposite,
-                propagator.partition(),
-                scratch,
-                run_governor.as_ref(),
-                &mut ladder,
-            )?)
+            Some(
+                self.degradable("optimize", run_governor.as_ref(), &mut ladder, |governor| {
+                    self.optimize_once(env, circuit, &net_stats, opposite, scratch, governor)
+                })?,
+            )
         } else {
             None
         };
@@ -1106,6 +1097,20 @@ impl Flow {
                     warmup: duration * opts.warmup_frac,
                     seed: opts.seed,
                 };
+                let simulate_power = |circuit: &Circuit, ladder: &mut LadderState| {
+                    self.degradable("sim", run_governor.as_ref(), ladder, |governor| {
+                        let report = simulate_governed(
+                            circuit,
+                            &env.library,
+                            &env.process,
+                            &env.timing,
+                            &stats,
+                            &cfg,
+                            governor,
+                        )?;
+                        Ok(report.power)
+                    })
+                };
                 let optimized_w = if self.vcd.is_some() {
                     // The traced run keeps every transition for the VCD
                     // dump; it is explicitly requested, so it runs
@@ -1123,36 +1128,15 @@ impl Flow {
                     vcd_trace = Some(trace);
                     report.power
                 } else {
-                    self.simulate_power_degradable(
-                        env,
-                        &primary.circuit,
-                        &stats,
-                        &cfg,
-                        run_governor.as_ref(),
-                        &mut ladder,
-                    )?
+                    simulate_power(&primary.circuit, &mut ladder)?
                 };
                 let baseline_w = if opts.baseline {
-                    Some(self.simulate_power_degradable(
-                        env,
-                        circuit,
-                        &stats,
-                        &cfg,
-                        run_governor.as_ref(),
-                        &mut ladder,
-                    )?)
+                    Some(simulate_power(circuit, &mut ladder)?)
                 } else {
                     None
                 };
                 let counterpart_w = match &counterpart {
-                    Some(c) => Some(self.simulate_power_degradable(
-                        env,
-                        &c.circuit,
-                        &stats,
-                        &cfg,
-                        run_governor.as_ref(),
-                        &mut ladder,
-                    )?),
+                    Some(c) => Some(simulate_power(&c.circuit, &mut ladder)?),
                     None => None,
                 };
                 // With the headroom pass the two sim measurements are
@@ -1478,84 +1462,29 @@ impl Flow {
         Ok((fallback, PropagationMode::Independent))
     }
 
-    /// One governed optimization pass; a tripped budget degrades to an
-    /// ungoverned rerun instead of failing (cancellation still aborts).
-    #[allow(clippy::too_many_arguments)]
-    fn optimize_once_degradable(
+    /// Runs one governed stage under the run's governor — cancellation
+    /// only, once the run has degraded. A tripped budget degrades to one
+    /// rerun under the cancel-only governor instead of failing, recorded
+    /// as the `finish-ungoverned` rung for `phase`; cancellation still
+    /// aborts.
+    fn degradable<T>(
         &self,
-        env: &FlowEnv,
-        circuit: &Circuit,
-        net_stats: &[SignalStats],
-        objective: Objective,
-        partition: Option<&tr_netlist::partition::Partition>,
-        scratch: &mut Scratch,
+        phase: &'static str,
         run_governor: Option<&Governor>,
         ladder: &mut LadderState,
-    ) -> Result<OptimizeResult, Error> {
+        mut run: impl FnMut(Option<&Governor>) -> Result<T, Error>,
+    ) -> Result<T, Error> {
         let governor = if ladder.degraded {
             self.cancel_governor()
         } else {
             run_governor.cloned()
-        };
-        match self.optimize_once(
-            env,
-            circuit,
-            net_stats,
-            objective,
-            partition,
-            scratch,
-            governor.as_ref(),
-        ) {
-            Err(Error::Interrupted(i)) if self.degrade && i.reason != TripReason::Cancelled => {
-                ladder.record("finish-ungoverned", "optimize", &i);
-                self.optimize_once(
-                    env,
-                    circuit,
-                    net_stats,
-                    objective,
-                    partition,
-                    scratch,
-                    self.cancel_governor().as_ref(),
-                )
-            }
-            other => other,
-        }
-    }
-
-    /// One governed switch-level simulation; a tripped budget degrades
-    /// to an ungoverned rerun instead of failing.
-    fn simulate_power_degradable(
-        &self,
-        env: &FlowEnv,
-        circuit: &Circuit,
-        stats: &[SignalStats],
-        cfg: &SimConfig,
-        run_governor: Option<&Governor>,
-        ladder: &mut LadderState,
-    ) -> Result<f64, Error> {
-        let governor = if ladder.degraded {
-            self.cancel_governor()
-        } else {
-            run_governor.cloned()
-        };
-        let run = |governor: Option<&Governor>| {
-            simulate_governed(
-                circuit,
-                &env.library,
-                &env.process,
-                &env.timing,
-                stats,
-                cfg,
-                governor,
-            )
         };
         match run(governor.as_ref()) {
-            Ok(report) => Ok(report.power),
-            Err(i) if self.degrade && i.reason != TripReason::Cancelled => {
-                ladder.record("finish-ungoverned", "sim", &i);
-                Ok(run(self.cancel_governor().as_ref())?.power)
+            Err(Error::Interrupted(i)) if self.degrade && i.reason != TripReason::Cancelled => {
+                ladder.record("finish-ungoverned", phase, &i);
+                run(self.cancel_governor().as_ref())
             }
-            Err(i) => Err(Error::Interrupted(i)),
+            other => other,
         }
     }
 
@@ -1588,82 +1517,46 @@ impl Flow {
         }
     }
 
-    /// One optimization pass with the configured bounding mode, against
+    /// One optimization pass with the configured delay bound, against
     /// the already-computed per-net statistics (whichever backend made
-    /// them). With a partition (the `part` backend) and worker threads,
-    /// the pass shards by region — same results, region-local schedule.
-    #[allow(clippy::too_many_arguments)]
+    /// them).
     fn optimize_once(
         &self,
         env: &FlowEnv,
         circuit: &Circuit,
         net_stats: &[SignalStats],
         objective: Objective,
-        partition: Option<&tr_netlist::partition::Partition>,
         scratch: &mut Scratch,
         governor: Option<&Governor>,
     ) -> Result<OptimizeResult, Error> {
         // Faultpoint: an injected delay here blows a short deadline at
         // the optimizer's first governor check, deterministically.
         let _ = faultpoint::hit("optimize");
-        match (self.delay_bound, objective) {
-            (DelayBound::Unbounded, obj) => Ok(if self.threads > 1 {
-                match partition {
-                    Some(part) => optimize_sharded_governed_with_net_stats(
-                        circuit,
-                        &env.library,
-                        &env.model,
-                        net_stats,
-                        obj,
-                        part,
-                        self.threads,
-                        governor,
-                    )?,
-                    None => optimize_parallel_governed_with_net_stats(
-                        circuit,
-                        &env.library,
-                        &env.model,
-                        net_stats,
-                        obj,
-                        self.threads,
-                        governor,
-                    )?,
-                }
-            } else {
-                optimize_governed_with_net_stats(
-                    circuit,
-                    &env.library,
-                    &env.model,
-                    net_stats,
-                    obj,
-                    scratch,
-                    governor,
-                )?
-            }),
-            (DelayBound::Local, Objective::MinimizePower) => {
-                Ok(optimize_delay_bounded_with_net_stats(
-                    circuit,
-                    &env.library,
-                    &env.model,
-                    &env.timing,
-                    net_stats,
-                ))
+        let bound = match (self.delay_bound, objective) {
+            (DelayBound::Unbounded, _) => Bound::Unbounded,
+            (DelayBound::Local, Objective::MinimizePower) => Bound::Local(&env.timing),
+            (DelayBound::Slack, Objective::MinimizePower) => Bound::Slack(&env.timing),
+            (bound, Objective::MaximizePower) => {
+                return Err(Error::Unsupported(format!(
+                    "--delay-bound {} only supports --objective min",
+                    bound.as_str()
+                )))
             }
-            (DelayBound::Slack, Objective::MinimizePower) => {
-                Ok(optimize_slack_aware_with_net_stats(
-                    circuit,
-                    &env.library,
-                    &env.model,
-                    &env.timing,
-                    net_stats,
-                    0.0,
-                ))
-            }
-            (bound, Objective::MaximizePower) => Err(Error::Unsupported(format!(
-                "--delay-bound {} only supports --objective min",
-                bound.as_str()
-            ))),
-        }
+        };
+        let options = OptimizeOptions {
+            objective,
+            bound,
+            threads: self.threads,
+            governor,
+        };
+        Ok(optimize_with(
+            circuit,
+            &env.library,
+            &env.model,
+            net_stats,
+            &options,
+            scratch,
+        )?)
     }
 }
 

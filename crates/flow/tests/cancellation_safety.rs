@@ -18,7 +18,7 @@ use tr_flow::Governor;
 use tr_gatelib::Library;
 use tr_netlist::{generators, Circuit, CompiledCircuit, GateId};
 use tr_power::{IncrementalPropagator, PropagationError, PropagationMode, PropagatorOptions};
-use tr_reorder::{optimize_to_fixpoint_governed, FixpointOptions, Objective};
+use tr_reorder::{optimize_to_fixpoint, FixpointOptions, Objective};
 
 fn library() -> &'static Library {
     static LIB: OnceLock<Library> = OnceLock::new();
@@ -163,7 +163,7 @@ proptest! {
         };
 
         let mut reference_prop = build();
-        let reference = optimize_to_fixpoint_governed(
+        let reference = optimize_to_fixpoint(
             &circuit,
             library(),
             model(),
@@ -178,7 +178,7 @@ proptest! {
         let governor = Governor::with_trip_after(trip);
         let mut prop = build();
         prop.set_governor(Some(governor.clone()));
-        let governed = optimize_to_fixpoint_governed(
+        let governed = optimize_to_fixpoint(
             &circuit,
             library(),
             model(),
@@ -197,7 +197,7 @@ proptest! {
         }
 
         prop.set_governor(None);
-        let retried = optimize_to_fixpoint_governed(
+        let retried = optimize_to_fixpoint(
             &circuit,
             library(),
             model(),

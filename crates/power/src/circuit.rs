@@ -335,24 +335,38 @@ mod tests {
         assert!(power.internal_total() > 0.02 * power.total);
     }
 
+    /// The compiled helpers are bitwise equal to the plain paths on every
+    /// suite circuit, under its own configurations and a rotated
+    /// assignment — what lets a flow keep the optimizer's compiled total
+    /// as the final power instead of re-running `circuit_power`.
     #[test]
     fn compiled_helpers_match_plain_paths() {
         let (lib, model) = setup();
-        let rca = generators::ripple_carry_adder(6, &lib);
-        let compiled = CompiledCircuit::compile(&rca, &lib).unwrap();
-        let pi = vec![SignalStats::new(0.4, 7.0e5); rca.primary_inputs().len()];
-        let stats = propagate(&rca, &lib, &pi);
-
-        let loads = external_loads(&rca, &model);
-        let loads_c = external_loads_compiled(&compiled, &model);
-        assert_eq!(loads, loads_c);
-
-        let full = circuit_power(&rca, &model, &stats);
         let mut scratch = Scratch::new();
-        let total = circuit_total_compiled(&compiled, &model, &stats, &loads, &mut scratch, |i| {
-            rca.gates()[i].config
-        });
-        assert_eq!(full.total, total);
+        for case in tr_netlist::suite::standard_suite(&lib) {
+            let mut c = case.circuit;
+            let compiled = CompiledCircuit::compile(&c, &lib).unwrap();
+            let pi = vec![SignalStats::new(0.4, 7.0e5); c.primary_inputs().len()];
+            let stats = propagate(&c, &lib, &pi);
+
+            let loads = external_loads(&c, &model);
+            let loads_c = external_loads_compiled(&compiled, &model);
+            assert_eq!(loads, loads_c, "{}", case.name);
+
+            for rotate in [false, true] {
+                if rotate {
+                    for (i, g) in compiled.gates().iter().enumerate() {
+                        c.set_config(tr_netlist::GateId(i), i % g.n_configs as usize);
+                    }
+                }
+                let full = circuit_power(&c, &model, &stats);
+                let total =
+                    circuit_total_compiled(&compiled, &model, &stats, &loads, &mut scratch, |i| {
+                        c.gates()[i].config
+                    });
+                assert_eq!(full.total, total, "{} rotate={rotate}", case.name);
+            }
+        }
     }
 
     #[test]

@@ -37,16 +37,9 @@
 //! [`propagate_with_mode`](crate::propagate_with_mode) pass over the
 //! edited circuit would produce — pinned by the equivalence suite in
 //! `tests/incremental_equivalence.rs`.
-//!
-//! [`IncrementalPower`] is the matching delta path for the *power*
-//! total: a per-gate power ledger that re-scores only gates whose
-//! configuration, input statistics or output load changed, then re-sums
-//! in gate order so the total stays bitwise identical to a full
-//! [`circuit_total_compiled`](crate::circuit_total_compiled) pass.
 
-use crate::circuit::external_loads_compiled;
 use crate::mode::monte_dt;
-use crate::model::{PowerModel, Scratch, MAX_CELL_ARITY};
+use crate::model::MAX_CELL_ARITY;
 use crate::monte;
 use crate::partition::{packing_options, RegionEvaluator};
 use crate::{propagate, PropagationError, PropagationMode};
@@ -373,14 +366,6 @@ impl IncrementalPropagator {
         })
     }
 
-    /// The `PartitionedBdd` backend's cone partition itself (`None` for
-    /// the other backends) — the region schedule callers hand to
-    /// `tr_reorder::optimize_sharded_governed_with_net_stats` so the
-    /// optimizer shards over the same regions the statistics did.
-    pub fn partition(&self) -> Option<&Partition> {
-        self.partition.as_ref().map(|s| &s.partition)
-    }
-
     /// Cumulative engine health (caches, GC, peak live) of the exact
     /// backend: the monolithic engine for `ExactBdd`, the region
     /// evaluator's engine for `PartitionedBdd` (counters accumulate
@@ -422,9 +407,9 @@ impl IncrementalPropagator {
     ///
     /// Returns the nets whose statistics actually changed, in
     /// topological order (empty for a config-only edit; every net for a
-    /// Monte re-estimate of a cell edit) — the set a power delta pass
-    /// must re-score against, see [`IncrementalPower::rescore`]. The
-    /// refreshed vector itself is read back via
+    /// Monte re-estimate of a cell edit) — a caller that finds it empty
+    /// knows the statistics are unchanged. The refreshed vector itself
+    /// is read back via
     /// [`IncrementalPropagator::net_stats`].
     ///
     /// # Errors
@@ -574,162 +559,11 @@ impl IncrementalPropagator {
     }
 }
 
-/// A per-gate power ledger with delta re-scoring: the counterpart of
-/// [`IncrementalPropagator`] for the *power* side of the loop.
-///
-/// [`IncrementalPower::rescore`] re-evaluates only gates whose
-/// configuration changed, whose inputs carry refreshed statistics, or
-/// whose output load changed (a cell substitution changes the
-/// substituted gate's input pin capacitances, dirtying its *drivers*),
-/// then re-sums the ledger in gate order — so the total stays bitwise
-/// identical to a full
-/// [`circuit_total_compiled`](crate::circuit_total_compiled) pass over
-/// the same circuit and statistics.
-#[derive(Debug, Clone)]
-pub struct IncrementalPower {
-    per_gate: Vec<f64>,
-    loads: Vec<f64>,
-    total: f64,
-    rescored_gates: usize,
-}
-
-impl IncrementalPower {
-    /// Scores every gate once (configurations supplied by `config_of`,
-    /// gate index → configuration) and stores the ledger.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `net_stats` is not net-indexed for this circuit or a
-    /// configuration is out of range.
-    pub fn new(
-        compiled: &CompiledCircuit,
-        model: &PowerModel,
-        net_stats: &[SignalStats],
-        scratch: &mut Scratch,
-        mut config_of: impl FnMut(usize) -> usize,
-    ) -> Self {
-        assert_eq!(
-            net_stats.len(),
-            compiled.net_count(),
-            "one SignalStats per net"
-        );
-        let loads = external_loads_compiled(compiled, model);
-        let mut buf = [SignalStats::constant(false); MAX_CELL_ARITY];
-        let mut per_gate = Vec::with_capacity(compiled.gates().len());
-        for (i, gate) in compiled.gates().iter().enumerate() {
-            let nets = compiled.inputs(gate);
-            for (slot, net) in buf.iter_mut().zip(nets) {
-                *slot = net_stats[net.0];
-            }
-            per_gate.push(model.total_power_into(
-                gate.cell,
-                config_of(i),
-                &buf[..nets.len()],
-                loads[gate.output.0],
-                scratch,
-            ));
-        }
-        let total = per_gate.iter().sum();
-        IncrementalPower {
-            per_gate,
-            loads,
-            total,
-            rescored_gates: 0,
-        }
-    }
-
-    /// The current total power (W).
-    pub fn total(&self) -> f64 {
-        self.total
-    }
-
-    /// One entry per gate, indexed like `compiled.gates()` (W).
-    pub fn per_gate(&self) -> &[f64] {
-        &self.per_gate
-    }
-
-    /// Total gates re-scored across all [`IncrementalPower::rescore`]
-    /// calls (the accumulated delta size).
-    pub fn rescored_gates(&self) -> usize {
-        self.rescored_gates
-    }
-
-    /// Re-scores the delta after an accepted change and returns the new
-    /// total: `dirty_gates` are gates whose configuration or cell
-    /// changed, `dirty_nets` are nets whose statistics were refreshed
-    /// (as returned by [`IncrementalPropagator::refresh`]); gates whose
-    /// output load moved (see the type docs) are picked up
-    /// automatically. `compiled` must describe the edited circuit with
-    /// the same net and gate numbering.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `compiled`/`net_stats` disagree with the ledger's gate
-    /// or net count, or a configuration is out of range.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rescore(
-        &mut self,
-        compiled: &CompiledCircuit,
-        model: &PowerModel,
-        net_stats: &[SignalStats],
-        scratch: &mut Scratch,
-        dirty_gates: &[GateId],
-        dirty_nets: &[NetId],
-        mut config_of: impl FnMut(usize) -> usize,
-    ) -> f64 {
-        assert_eq!(
-            compiled.gates().len(),
-            self.per_gate.len(),
-            "circuit must keep its gate numbering across edits"
-        );
-        assert_eq!(net_stats.len(), self.loads.len(), "one SignalStats per net");
-        let mut affected = vec![false; self.per_gate.len()];
-        for &g in dirty_gates {
-            affected[g.0] = true;
-        }
-        let mut net_dirty = vec![false; self.loads.len()];
-        for &n in dirty_nets {
-            net_dirty[n.0] = true;
-        }
-        // A cell substitution moves the substituted gate's input pin
-        // capacitances: every driver of a net whose external load
-        // changed must be re-scored too.
-        let loads = external_loads_compiled(compiled, model);
-        for (i, gate) in compiled.gates().iter().enumerate() {
-            if loads[gate.output.0] != self.loads[gate.output.0] {
-                affected[i] = true;
-            }
-        }
-        self.loads = loads;
-        let mut buf = [SignalStats::constant(false); MAX_CELL_ARITY];
-        for (i, gate) in compiled.gates().iter().enumerate() {
-            let nets = compiled.inputs(gate);
-            if !affected[i] && !nets.iter().any(|n| net_dirty[n.0]) {
-                continue;
-            }
-            for (slot, net) in buf.iter_mut().zip(nets) {
-                *slot = net_stats[net.0];
-            }
-            self.per_gate[i] = model.total_power_into(
-                gate.cell,
-                config_of(i),
-                &buf[..nets.len()],
-                self.loads[gate.output.0],
-                scratch,
-            );
-            self.rescored_gates += 1;
-        }
-        // Re-sum in gate order: bitwise identical to a full pass.
-        self.total = self.per_gate.iter().sum();
-        self.total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{circuit_total_compiled, propagate_with_mode};
-    use tr_gatelib::{CellKind, Process};
+    use crate::propagate_with_mode;
+    use tr_gatelib::CellKind;
     use tr_netlist::generators;
 
     fn toggle_cell(c: &mut Circuit, g: GateId) {
@@ -756,20 +590,6 @@ mod tests {
         (0..n)
             .map(|i| SignalStats::new(0.15 + 0.03 * (i % 20) as f64, 1.0e4 * (1 + i % 6) as f64))
             .collect()
-    }
-
-    fn full_total(
-        c: &Circuit,
-        lib: &Library,
-        model: &PowerModel,
-        net_stats: &[SignalStats],
-        scratch: &mut Scratch,
-    ) -> f64 {
-        let compiled = CompiledCircuit::compile(c, lib).unwrap();
-        let loads = external_loads_compiled(&compiled, model);
-        circuit_total_compiled(&compiled, model, net_stats, &loads, scratch, |i| {
-            compiled.gates()[i].config as usize
-        })
     }
 
     #[test]
@@ -841,90 +661,5 @@ mod tests {
         assert!(dirty.is_empty(), "§4.2: no net may change");
         assert_eq!(prop.refreshed_nets(), 0);
         assert_eq!(prop.net_stats(), &before[..]);
-    }
-
-    #[test]
-    fn delta_power_is_bitwise_identical_to_a_full_pass() {
-        let lib = Library::standard();
-        let model = PowerModel::new(&lib, Process::default());
-        let mut c = generators::carry_skip_adder(8, 4, &lib);
-        let pi = pi_stats(c.primary_inputs().len());
-        let mut prop =
-            IncrementalPropagator::new(&c, &lib, &pi, PropagationMode::Independent).unwrap();
-        let mut scratch = Scratch::new();
-        let compiled = CompiledCircuit::compile(&c, &lib).unwrap();
-        let mut ledger =
-            IncrementalPower::new(&compiled, &model, prop.net_stats(), &mut scratch, |i| {
-                compiled.gates()[i].config as usize
-            });
-        assert_eq!(
-            ledger.total(),
-            full_total(&c, &lib, &model, prop.net_stats(), &mut scratch)
-        );
-        // A cell substitution: refresh statistics, then delta-rescore.
-        let victim = pick_victim(&c);
-        toggle_cell(&mut c, victim);
-        let dirty = prop.refresh(&c, &lib, &[victim]).unwrap();
-        assert!(!dirty.is_empty(), "a cell substitution dirties its cone");
-        let fresh = CompiledCircuit::compile(&c, &lib).unwrap();
-        let total = ledger.rescore(
-            &fresh,
-            &model,
-            prop.net_stats(),
-            &mut scratch,
-            &[victim],
-            &dirty,
-            |i| fresh.gates()[i].config as usize,
-        );
-        assert_eq!(
-            total,
-            full_total(&c, &lib, &model, prop.net_stats(), &mut scratch),
-            "delta total must be bitwise identical"
-        );
-    }
-
-    #[test]
-    fn delta_power_rescored_set_is_smaller_than_the_circuit() {
-        let lib = Library::standard();
-        let model = PowerModel::new(&lib, Process::default());
-        let mut c = generators::array_multiplier(4, &lib);
-        let pi = pi_stats(c.primary_inputs().len());
-        let mut prop =
-            IncrementalPropagator::new(&c, &lib, &pi, PropagationMode::ExactBdd).unwrap();
-        let mut scratch = Scratch::new();
-        let compiled = CompiledCircuit::compile(&c, &lib).unwrap();
-        let mut ledger =
-            IncrementalPower::new(&compiled, &model, prop.net_stats(), &mut scratch, |i| {
-                compiled.gates()[i].config as usize
-            });
-        // Pick a victim deep in the array so its cone is a strict subset.
-        let victim = GateId(
-            (0..c.gates().len())
-                .rev()
-                .find(|&i| !matches!(c.gates()[i].cell, CellKind::Inv))
-                .unwrap(),
-        );
-        toggle_cell(&mut c, victim);
-        let dirty = prop.refresh(&c, &lib, &[victim]).unwrap();
-        let fresh = CompiledCircuit::compile(&c, &lib).unwrap();
-        let total = ledger.rescore(
-            &fresh,
-            &model,
-            prop.net_stats(),
-            &mut scratch,
-            &[victim],
-            &dirty,
-            |i| fresh.gates()[i].config as usize,
-        );
-        assert!(
-            ledger.rescored_gates() < c.gates().len() / 2,
-            "rescored {} of {} gates",
-            ledger.rescored_gates(),
-            c.gates().len()
-        );
-        assert_eq!(
-            total,
-            full_total(&c, &lib, &model, prop.net_stats(), &mut scratch)
-        );
     }
 }

@@ -67,7 +67,7 @@ pub use circuit::{
     circuit_power, circuit_total_compiled, external_loads, external_loads_compiled, propagate,
     propagate_exact, CircuitPower,
 };
-pub use incremental::{IncrementalPower, IncrementalPropagator, PropagatorOptions};
+pub use incremental::{IncrementalPropagator, PropagatorOptions};
 pub use mode::{
     propagate_exact_bdd, propagate_exact_bdd_with_stats, propagate_with_mode, PropagationError,
     PropagationMode,

@@ -26,17 +26,14 @@
 //! an error but a typed [`FixpointTermination::IterationCap`] report,
 //! with the final numbers still computed from fresh statistics.
 
-use crate::{
-    optimize_governed_with_net_stats, optimize_parallel_governed_with_net_stats, Objective,
-    OptimizeResult,
-};
+use crate::{optimize_with, Objective, OptimizeOptions, OptimizeResult};
 use tr_boolean::govern::Governor;
 use tr_boolean::SignalStats;
 use tr_gatelib::Library;
 use tr_netlist::{Circuit, CompiledCircuit, GateId};
 use tr_power::{
     circuit_total_compiled, external_loads_compiled, IncrementalPropagator, PowerModel,
-    PropagationError, PropagationMode, Scratch,
+    PropagationError, Scratch,
 };
 
 /// Default [`FixpointOptions::max_iterations`]: config-only moves
@@ -52,9 +49,7 @@ pub struct FixpointOptions {
     /// Iteration cap; reaching it yields
     /// [`FixpointTermination::IterationCap`], not an error.
     pub max_iterations: usize,
-    /// Worker threads per traversal (1 = serial; the parallel traversal
-    /// is used above its break-even work threshold, exactly as
-    /// [`crate::optimize_parallel_with_net_stats`]).
+    /// Worker threads per traversal (see [`OptimizeOptions::threads`]).
     pub threads: usize,
 }
 
@@ -153,70 +148,28 @@ fn total_power(
 }
 
 /// Runs the propagate → optimize → re-propagate loop to a fixed point
-/// (see the module docs), building a fresh [`IncrementalPropagator`]
-/// for `mode` first. Flows that already propagated once should call
-/// [`optimize_to_fixpoint_with_propagator`] instead and reuse theirs.
+/// (see the module docs) over a caller-owned propagator whose statistics
+/// are already valid for `circuit`, so one statistics pass serves both a
+/// flow's report and the loop. On return the propagator's statistics
+/// are valid for the *final* circuit.
 ///
-/// # Errors
-///
-/// Returns [`PropagationError`] if the circuit does not compile against
-/// `library` or the BDD backend blows its node budget. Non-convergence
-/// is **not** an error — see [`FixpointTermination`].
-///
-/// # Panics
-///
-/// As [`crate::optimize_with_net_stats`]; additionally if
-/// `options.threads == 0`.
-pub fn optimize_to_fixpoint(
-    circuit: &Circuit,
-    library: &Library,
-    model: &PowerModel,
-    pi_stats: &[SignalStats],
-    mode: PropagationMode,
-    options: FixpointOptions,
-) -> Result<FixpointReport, PropagationError> {
-    let mut propagator = IncrementalPropagator::new(circuit, library, pi_stats, mode)?;
-    optimize_to_fixpoint_with_propagator(circuit, library, model, &mut propagator, options)
-}
-
-/// [`optimize_to_fixpoint`] over a caller-owned propagator whose
-/// statistics are already valid for `circuit` — the flow-pipeline entry
-/// point (one statistics pass serves both the report and the loop). On
-/// return the propagator's statistics are valid for the *final*
-/// circuit.
-///
-/// # Errors
-///
-/// As [`optimize_to_fixpoint`].
-///
-/// # Panics
-///
-/// As [`optimize_to_fixpoint`].
-pub fn optimize_to_fixpoint_with_propagator(
-    circuit: &Circuit,
-    library: &Library,
-    model: &PowerModel,
-    propagator: &mut IncrementalPropagator,
-    options: FixpointOptions,
-) -> Result<FixpointReport, PropagationError> {
-    optimize_to_fixpoint_governed(circuit, library, model, propagator, options, None)
-}
-
-/// [`optimize_to_fixpoint_with_propagator`] under an optional
-/// [`Governor`]: each optimizer traversal checks it per gate, each
+/// Under a `governor`, each optimizer traversal checks it per gate, each
 /// iteration boundary checks it immediately, and the propagator's own
 /// governor (if it carries one) governs the refreshes. The input circuit
 /// is never modified, so an interrupted loop loses nothing but time.
 ///
 /// # Errors
 ///
-/// As [`optimize_to_fixpoint`], plus
-/// [`PropagationError::Interrupted`] when a governor trips.
+/// Returns [`PropagationError`] if the circuit does not compile against
+/// `library`, the BDD backend blows its node budget, or a governor trips
+/// ([`PropagationError::Interrupted`]). Non-convergence is **not** an
+/// error — see [`FixpointTermination`].
 ///
 /// # Panics
 ///
-/// As [`optimize_to_fixpoint`].
-pub fn optimize_to_fixpoint_governed(
+/// As [`crate::optimize_with_net_stats`]; additionally if
+/// `options.threads == 0` or `options.max_iterations == 0`.
+pub fn optimize_to_fixpoint(
     circuit: &Circuit,
     library: &Library,
     model: &PowerModel,
@@ -233,6 +186,12 @@ pub fn optimize_to_fixpoint_governed(
     );
     let repropagations_before = propagator.repropagations();
     let refreshed_before = propagator.refreshed_nets();
+    let pass = OptimizeOptions {
+        objective: options.objective,
+        threads: options.threads,
+        governor,
+        ..OptimizeOptions::default()
+    };
     let mut scratch = Scratch::new();
     let mut current = circuit.clone();
     let mut power_before = f64::NAN;
@@ -246,27 +205,14 @@ pub fn optimize_to_fixpoint_governed(
         }
         iterations += 1;
         let _g = tr_trace::span!("opt.iteration", iteration = iterations);
-        let r = if options.threads > 1 {
-            optimize_parallel_governed_with_net_stats(
-                &current,
-                library,
-                model,
-                propagator.net_stats(),
-                options.objective,
-                options.threads,
-                governor,
-            )?
-        } else {
-            optimize_governed_with_net_stats(
-                &current,
-                library,
-                model,
-                propagator.net_stats(),
-                options.objective,
-                &mut scratch,
-                governor,
-            )?
-        };
+        let r = optimize_with(
+            &current,
+            library,
+            model,
+            propagator.net_stats(),
+            &pass,
+            &mut scratch,
+        )?;
         if iterations == 1 {
             power_before = r.power_before;
         }
@@ -328,11 +274,25 @@ mod tests {
     use tr_gatelib::Process;
     use tr_netlist::{generators, suite};
     use tr_power::scenario::Scenario;
+    use tr_power::PropagationMode;
 
     fn setup() -> (Library, PowerModel) {
         let lib = Library::standard();
         let model = PowerModel::new(&lib, Process::default());
         (lib, model)
+    }
+
+    /// The loop from primary-input statistics under `mode`, ungoverned.
+    fn fixpoint(
+        c: &Circuit,
+        lib: &Library,
+        model: &PowerModel,
+        stats: &[SignalStats],
+        mode: PropagationMode,
+        options: FixpointOptions,
+    ) -> Result<FixpointReport, PropagationError> {
+        let mut propagator = IncrementalPropagator::new(c, lib, stats, mode)?;
+        optimize_to_fixpoint(c, lib, model, &mut propagator, options, None)
     }
 
     /// The loop terminates on every circuit of the benchmark suite — in
@@ -345,7 +305,7 @@ mod tests {
         for case in suite::standard_suite(&lib) {
             let n = case.circuit.primary_inputs().len();
             let stats = Scenario::a().input_stats(n, 0xF1);
-            let rep = optimize_to_fixpoint(
+            let rep = fixpoint(
                 &case.circuit,
                 &lib,
                 &model,
@@ -389,7 +349,7 @@ mod tests {
         let (lib, model) = setup();
         let c = generators::carry_select_adder(16, 4, &lib);
         let stats = Scenario::a().input_stats(c.primary_inputs().len(), 7);
-        let rep = optimize_to_fixpoint(
+        let rep = fixpoint(
             &c,
             &lib,
             &model,
@@ -416,7 +376,7 @@ mod tests {
         let (lib, model) = setup();
         let c = generators::ripple_carry_adder(8, &lib);
         let stats = Scenario::a().input_stats(c.primary_inputs().len(), 3);
-        let rep = optimize_to_fixpoint(
+        let rep = fixpoint(
             &c,
             &lib,
             &model,
@@ -449,7 +409,7 @@ mod tests {
         let (lib, model) = setup();
         let c = generators::array_multiplier(4, &lib);
         let stats = Scenario::a().input_stats(c.primary_inputs().len(), 21);
-        let serial = optimize_to_fixpoint(
+        let serial = fixpoint(
             &c,
             &lib,
             &model,
@@ -458,7 +418,7 @@ mod tests {
             FixpointOptions::default(),
         )
         .unwrap();
-        let parallel = optimize_to_fixpoint(
+        let parallel = fixpoint(
             &c,
             &lib,
             &model,
@@ -481,7 +441,7 @@ mod tests {
         let (lib, model) = setup();
         let c = generators::ripple_carry_adder(2, &lib);
         let stats = Scenario::a().input_stats(c.primary_inputs().len(), 1);
-        let _ = optimize_to_fixpoint(
+        let _ = fixpoint(
             &c,
             &lib,
             &model,

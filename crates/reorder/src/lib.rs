@@ -14,8 +14,11 @@
 //!
 //! The same machinery selects the *worst* ordering, which is how the
 //! paper's Table 3 measures the technique's headroom (best vs worst), and
-//! a delay-bounded variant implements the paper's §6 future-work
-//! direction (power reduction without delay increase).
+//! a delay bound ([`Bound`]) implements the paper's §6 future-work
+//! direction (power reduction without delay increase). Every variant is
+//! one call to [`optimize_with`]; [`optimize`] and
+//! [`optimize_with_net_stats`] are its unbounded, single-threaded
+//! shorthands.
 //!
 //! # Example
 //!
@@ -37,11 +40,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use tr_boolean::govern::{Governor, Interrupted};
 use tr_boolean::SignalStats;
 use tr_gatelib::Library;
-use tr_netlist::partition::Partition;
 use tr_netlist::{Circuit, CompiledCircuit, ResolvedGate};
 use tr_power::{
     circuit_total_compiled, external_loads_compiled, propagate, PowerModel, Scratch, MAX_CELL_ARITY,
@@ -56,6 +58,58 @@ pub enum Objective {
     /// Choose the highest-power configuration (the paper's worst-case
     /// reference for Table 3).
     MaximizePower,
+}
+
+/// The delay constraint of one optimization pass — the paper's §6
+/// future-work direction (b): "it is possible to obtain power reductions
+/// without increasing the delay of the circuit".
+#[derive(Debug, Clone, Copy, Default)]
+pub enum Bound<'a> {
+    /// Power only; the critical path may grow (paper Table 3).
+    #[default]
+    Unbounded,
+    /// Each gate may only switch to configurations that are no slower
+    /// than its *current* configuration on **every** input pin (at the
+    /// gate's actual load). Pin-wise dominance is the local condition
+    /// that makes the global guarantee sound: by induction over the
+    /// topological order no arrival time can increase, so the critical
+    /// path never grows. (Comparing only the worst pin would admit
+    /// configurations that are slower on a non-worst pin and could
+    /// lengthen a path through it.)
+    Local(&'a TimingModel),
+    /// The critical path may not grow; off-critical gates spend their
+    /// slack on cheaper orderings (see [`slack`]).
+    Slack(&'a TimingModel),
+}
+
+/// How [`optimize_with`] runs one traversal.
+#[derive(Debug, Clone, Copy)]
+pub struct OptimizeOptions<'a> {
+    /// What each gate's selection maximizes or minimizes.
+    pub objective: Objective,
+    /// The delay constraint (only [`Objective::MinimizePower`] may be
+    /// bounded).
+    pub bound: Bound<'a>,
+    /// Worker threads (1 = inline on the caller's thread). The pool is
+    /// used only above its break-even work; the result is identical
+    /// either way. The [`Bound::Slack`] pass is sequential and ignores
+    /// this.
+    pub threads: usize,
+    /// Checked once per gate; shared by every worker, so a trip seen by
+    /// any of them stops the pool within one queue chunk.
+    pub governor: Option<&'a Governor>,
+}
+
+impl Default for OptimizeOptions<'_> {
+    /// Unbounded minimization on one thread, ungoverned.
+    fn default() -> Self {
+        OptimizeOptions {
+            objective: Objective::MinimizePower,
+            bound: Bound::Unbounded,
+            threads: 1,
+            governor: None,
+        }
+    }
 }
 
 /// Result of one optimization run.
@@ -99,41 +153,24 @@ pub fn optimize(
     pi_stats: &[SignalStats],
     objective: Objective,
 ) -> OptimizeResult {
-    optimize_with_scratch(
+    let net_stats = propagate(circuit, library, pi_stats);
+    optimize_with_net_stats(
         circuit,
         library,
         model,
-        pi_stats,
+        &net_stats,
         objective,
         &mut Scratch::new(),
     )
-}
-
-/// [`optimize`] with a caller-supplied [`Scratch`], so long-running
-/// drivers (the batch runner, benchmark loops) can reuse one arena per
-/// worker thread instead of reallocating it per circuit. Results are
-/// identical to [`optimize`] regardless of the scratch's prior contents.
-///
-/// # Panics
-///
-/// As [`optimize`].
-pub fn optimize_with_scratch(
-    circuit: &Circuit,
-    library: &Library,
-    model: &PowerModel,
-    pi_stats: &[SignalStats],
-    objective: Objective,
-    scratch: &mut Scratch,
-) -> OptimizeResult {
-    let net_stats = propagate(circuit, library, pi_stats);
-    optimize_with_net_stats(circuit, library, model, &net_stats, objective, scratch)
 }
 
 /// [`optimize`] against caller-supplied **per-net** statistics — the
 /// entry point for exact probability backends: pass the output of
 /// [`tr_power::propagate_exact_bdd`] (or a Monte Carlo estimate) and the
 /// Fig. 3 traversal scores every configuration against correlation-exact
-/// activities instead of the independence approximation.
+/// activities instead of the independence approximation. Long-running
+/// callers (the batch runner, benchmark loops) reuse one `scratch` per
+/// thread; results do not depend on its prior contents.
 ///
 /// # Panics
 ///
@@ -147,14 +184,26 @@ pub fn optimize_with_net_stats(
     objective: Objective,
     scratch: &mut Scratch,
 ) -> OptimizeResult {
-    optimize_governed_with_net_stats(circuit, library, model, net_stats, objective, scratch, None)
+    let options = OptimizeOptions {
+        objective,
+        ..OptimizeOptions::default()
+    };
+    optimize_with(circuit, library, model, net_stats, &options, scratch)
         .expect("ungoverned traversal cannot be interrupted")
 }
 
-/// [`optimize_with_net_stats`] under an optional [`Governor`], checked
-/// once per gate (a gate's configuration sweep is the traversal's unit
-/// of work). An interrupted traversal returns no partial result — the
-/// input circuit is untouched either way.
+/// One optimization pass under `options`, against caller-supplied
+/// per-net statistics.
+///
+/// The bound picks each gate's selection: unbounded argmin/argmax over
+/// every configuration, or the cheapest pin-wise-dominating one
+/// ([`Bound::Local`]) — both independent per gate given the statistics,
+/// so gates are explored in fixed-size chunks that idle workers pull off
+/// a shared queue, or inline on the caller's thread and `scratch` when
+/// `threads == 1` or the work is too small for the pool to pay off. The
+/// [`Bound::Slack`] pass carries arrival times from gate to gate and
+/// runs sequentially. An interrupted traversal returns no partial
+/// result — the input circuit is untouched either way.
 ///
 /// # Errors
 ///
@@ -162,56 +211,64 @@ pub fn optimize_with_net_stats(
 ///
 /// # Panics
 ///
-/// As [`optimize_with_net_stats`].
-pub fn optimize_governed_with_net_stats(
+/// Panics if `net_stats.len()` differs from the net count, the circuit
+/// is invalid, a cell is missing from the library, a model was built
+/// from a different library, `threads == 0`, or a delay bound is asked
+/// to maximize power.
+pub fn optimize_with(
     circuit: &Circuit,
     library: &Library,
     model: &PowerModel,
     net_stats: &[SignalStats],
-    objective: Objective,
+    options: &OptimizeOptions,
     scratch: &mut Scratch,
-    governor: Option<&Governor>,
 ) -> Result<OptimizeResult, Interrupted> {
+    assert!(options.threads > 0, "need at least one thread");
     let compiled = CompiledCircuit::compile(circuit, library).expect("validated circuit");
     assert_cell_ids_aligned(circuit, &compiled, |k| model.cell_id(k), "PowerModel");
+    if let Bound::Local(timing) | Bound::Slack(timing) = options.bound {
+        assert_eq!(
+            options.objective,
+            Objective::MinimizePower,
+            "delay bounds only minimize power"
+        );
+        assert_cell_ids_aligned(circuit, &compiled, |k| timing.cell_id(k), "TimingModel");
+    }
     assert_eq!(
         net_stats.len(),
         compiled.net_count(),
         "one SignalStats per net"
     );
-    let _g = tr_trace::span!("opt.pass", gates = compiled.gates().len());
+    let _g = tr_trace::span!(
+        "opt.pass",
+        gates = compiled.gates().len(),
+        threads = options.threads
+    );
     let loads = external_loads_compiled(&compiled, model);
     let before = circuit_total_compiled(&compiled, model, net_stats, &loads, scratch, |i| {
         compiled.gates()[i].config as usize
     });
-
-    let mut result = circuit.clone();
-    let mut changed = 0usize;
-    let mut choices = vec![0usize; compiled.gates().len()];
-    let mut buf = [SignalStats::constant(false); MAX_CELL_ARITY];
-    // Depth-first gate list (paper Fig. 3). With the monotonic model any
-    // order gives the same answer; we keep the paper's for fidelity.
-    for &gid in compiled.order() {
-        if let Some(g) = governor {
-            g.check("optimize")?;
-        }
-        let gate = &compiled.gates()[gid.0];
-        gather_inputs(&compiled, gate, net_stats, &mut buf);
-        let inputs = &buf[..gate.arity as usize];
-        let load = loads[gate.output.0];
-        let (best, worst) = model.best_and_worst_by_id(gate.cell, inputs, load, scratch);
-        let choice = match objective {
-            Objective::MinimizePower => best,
-            Objective::MaximizePower => worst,
-        };
-        if choice != gate.config as usize {
-            changed += 1;
-        }
-        choices[gid.0] = choice;
-        result.set_config(gid, choice);
-    }
+    let pass = Pass {
+        compiled: &compiled,
+        model,
+        net_stats,
+        loads: &loads,
+        options,
+    };
+    let choices = match options.bound {
+        Bound::Slack(timing) => slack::choices(circuit, &pass, timing, scratch)?,
+        Bound::Unbounded | Bound::Local(_) => pass.explore(scratch)?,
+    };
     let after =
         circuit_total_compiled(&compiled, model, net_stats, &loads, scratch, |i| choices[i]);
+    let mut result = circuit.clone();
+    let mut changed = 0usize;
+    for (i, (&choice, gate)) in choices.iter().zip(compiled.gates()).enumerate() {
+        if choice != gate.config as usize {
+            changed += 1;
+            result.set_config(tr_netlist::GateId(i), choice);
+        }
+    }
     Ok(OptimizeResult {
         circuit: result,
         power_before: before,
@@ -265,7 +322,7 @@ fn gather_inputs(
 const PARALLEL_CHUNK: usize = 32;
 
 /// Minimum total work — summed configuration evaluations over all gates —
-/// below which [`optimize_parallel`] falls back to the serial traversal.
+/// below which [`optimize_with`] explores inline instead of spawning.
 /// Spawning and joining scoped threads costs tens of microseconds; a
 /// 16-bit ripple-carry adder's whole exploration (496 config evals,
 /// ~300 µs) is barely past break-even, and on small inputs the pool is a
@@ -277,434 +334,128 @@ const PARALLEL_MIN_WORK: usize = 1024;
 
 /// Total exploration work of a circuit: one unit per (gate,
 /// configuration) pair the optimizer will evaluate.
-fn exploration_work(circuit: &Circuit, library: &Library) -> usize {
-    circuit
-        .gates()
-        .iter()
-        .map(|g| {
-            library
-                .cell(&g.cell)
-                .map_or(1, |c| c.configurations().len())
-        })
-        .sum()
+fn exploration_work(compiled: &CompiledCircuit) -> usize {
+    compiled.gates().iter().map(|g| g.n_configs as usize).sum()
 }
 
-/// Whether the thread pool pays for itself on this much work.
-fn should_parallelize(work: usize, threads: usize) -> bool {
-    threads > 1 && work >= PARALLEL_MIN_WORK
+/// Everything one gate's selection reads, shared by every worker.
+struct Pass<'a> {
+    compiled: &'a CompiledCircuit,
+    model: &'a PowerModel,
+    net_stats: &'a [SignalStats],
+    loads: &'a [f64],
+    options: &'a OptimizeOptions<'a>,
 }
 
-/// Parallel variant of [`optimize`]: gates are explored concurrently by
-/// scoped threads pulling fixed-size chunks off a shared atomic queue
-/// (work stealing in all but name — a thread stuck on a run of 48-config
-/// cells simply grabs fewer chunks). Exact same result as the sequential
-/// traversal (per-gate choices are independent given the net statistics).
-///
-/// # Panics
-///
-/// As [`optimize`]; additionally if `threads == 0`.
-pub fn optimize_parallel(
-    circuit: &Circuit,
-    library: &Library,
-    model: &PowerModel,
-    pi_stats: &[SignalStats],
-    objective: Objective,
-    threads: usize,
-) -> OptimizeResult {
-    let net_stats = propagate(circuit, library, pi_stats);
-    optimize_parallel_with_net_stats(circuit, library, model, &net_stats, objective, threads)
-}
-
-/// [`optimize_parallel`] against caller-supplied per-net statistics (see
-/// [`optimize_with_net_stats`]).
-///
-/// Falls back to the serial traversal when `threads == 1` or the
-/// circuit's total exploration work (gates × configurations) is too
-/// small for the thread pool to pay for itself; the result is identical
-/// either way (per-gate choices are independent given the net
-/// statistics).
-///
-/// # Panics
-///
-/// As [`optimize_with_net_stats`]; additionally if `threads == 0`.
-pub fn optimize_parallel_with_net_stats(
-    circuit: &Circuit,
-    library: &Library,
-    model: &PowerModel,
-    net_stats: &[SignalStats],
-    objective: Objective,
-    threads: usize,
-) -> OptimizeResult {
-    optimize_parallel_governed_with_net_stats(
-        circuit, library, model, net_stats, objective, threads, None,
-    )
-    .expect("ungoverned traversal cannot be interrupted")
-}
-
-/// [`optimize_parallel_with_net_stats`] under an optional [`Governor`]:
-/// every worker checks the *same* shared governor once per gate, so a
-/// trip observed by any thread stops the whole pool within one queue
-/// chunk (the others hit the tripped state at their own next check).
-///
-/// # Errors
-///
-/// Returns [`Interrupted`] when the governor trips mid-traversal.
-///
-/// # Panics
-///
-/// As [`optimize_parallel_with_net_stats`].
-pub fn optimize_parallel_governed_with_net_stats(
-    circuit: &Circuit,
-    library: &Library,
-    model: &PowerModel,
-    net_stats: &[SignalStats],
-    objective: Objective,
-    threads: usize,
-    governor: Option<&Governor>,
-) -> Result<OptimizeResult, Interrupted> {
-    assert!(threads > 0, "need at least one thread");
-    if !should_parallelize(exploration_work(circuit, library), threads) {
-        return optimize_governed_with_net_stats(
-            circuit,
-            library,
-            model,
-            net_stats,
-            objective,
-            &mut Scratch::new(),
-            governor,
-        );
-    }
-    let compiled = CompiledCircuit::compile(circuit, library).expect("validated circuit");
-    assert_cell_ids_aligned(circuit, &compiled, |k| model.cell_id(k), "PowerModel");
-    assert_eq!(
-        net_stats.len(),
-        compiled.net_count(),
-        "one SignalStats per net"
-    );
-    let _g = tr_trace::span!(
-        "opt.parallel",
-        gates = compiled.gates().len(),
-        threads = threads
-    );
-    let loads = external_loads_compiled(&compiled, model);
-    let mut scratch = Scratch::new();
-    let before = circuit_total_compiled(&compiled, model, net_stats, &loads, &mut scratch, |i| {
-        compiled.gates()[i].config as usize
-    });
-
-    let n = compiled.gates().len();
-    let next = AtomicUsize::new(0);
-    let partials: Vec<Result<Vec<(usize, usize)>, Interrupted>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let compiled = &compiled;
-                let net_stats = &net_stats;
-                let loads = &loads;
-                let next = &next;
-                scope.spawn(move || {
-                    let mut scratch = Scratch::new();
-                    let mut buf = [SignalStats::constant(false); MAX_CELL_ARITY];
-                    let mut out = Vec::new();
-                    loop {
-                        let start = next.fetch_add(PARALLEL_CHUNK, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        for (i, gate) in compiled.gates()[start..(start + PARALLEL_CHUNK).min(n)]
-                            .iter()
-                            .enumerate()
-                        {
-                            if let Some(g) = governor {
-                                g.check("optimize")?;
-                            }
-                            gather_inputs(compiled, gate, net_stats, &mut buf);
-                            let (best, worst) = model.best_and_worst_by_id(
-                                gate.cell,
-                                &buf[..gate.arity as usize],
-                                loads[gate.output.0],
-                                &mut scratch,
-                            );
-                            let choice = match objective {
-                                Objective::MinimizePower => best,
-                                Objective::MaximizePower => worst,
+impl Pass<'_> {
+    /// Every gate's selection, indexed like `compiled.gates()`: inline
+    /// when the pool would not pay for itself, otherwise by
+    /// `options.threads` scoped workers pulling [`PARALLEL_CHUNK`]-gate
+    /// chunks of the result off one queue (a worker stuck on a run of
+    /// 48-config cells simply grabs fewer chunks). Gates go in index
+    /// order, not the paper's depth-first order: with fixed statistics
+    /// (§4.2) every order gives the same choices, which is also what
+    /// lets the pool split them.
+    fn explore(&self, scratch: &mut Scratch) -> Result<Vec<usize>, Interrupted> {
+        let mut choices = vec![0usize; self.compiled.gates().len()];
+        let threads = self.options.threads;
+        if threads == 1 || exploration_work(self.compiled) < PARALLEL_MIN_WORK {
+            self.select_range(0, &mut choices, scratch)?;
+            return Ok(choices);
+        }
+        let queue = Mutex::new(choices.chunks_mut(PARALLEL_CHUNK).enumerate());
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut scratch = Scratch::new();
+                        loop {
+                            let next = queue
+                                .lock()
+                                .expect("no worker panics holding the queue")
+                                .next();
+                            let Some((k, chunk)) = next else {
+                                return Ok(());
                             };
-                            out.push((start + i, choice));
+                            self.select_range(k * PARALLEL_CHUNK, chunk, &mut scratch)?;
                         }
-                    }
-                    Ok(out)
+                    })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("optimizer worker panicked"))
-            .collect()
-    });
-
-    let mut choices = vec![0usize; n];
-    for partial in partials {
-        for (i, choice) in partial? {
-            choices[i] = choice;
-        }
+                .collect();
+            // The scope joins any worker left unjoined after an early
+            // error before returning.
+            workers
+                .into_iter()
+                .try_for_each(|w| w.join().expect("optimizer worker panicked"))
+        })?;
+        Ok(choices)
     }
-    let mut result = circuit.clone();
-    let mut changed = 0usize;
-    for (i, &choice) in choices.iter().enumerate() {
-        if circuit.gates()[i].config != choice {
-            changed += 1;
-        }
-        result.set_config(tr_netlist::GateId(i), choice);
-    }
-    let after = circuit_total_compiled(&compiled, model, net_stats, &loads, &mut scratch, |i| {
-        choices[i]
-    });
-    Ok(OptimizeResult {
-        circuit: result,
-        power_before: before,
-        power_after: after,
-        changed_gates: changed,
-    })
-}
 
-/// Region-sharded variant of [`optimize_parallel_with_net_stats`] for
-/// the partitioned statistics backend: workers pull whole partition
-/// *regions* off the shared queue instead of fixed-size gate chunks, so
-/// the optimizer's unit of work matches the propagator's and a region's
-/// gates — which share input nets and therefore statistics cache lines —
-/// are explored by one thread. Per-gate choices are independent given
-/// the net statistics, so the result is bitwise identical to the serial
-/// and chunk-parallel traversals; only the schedule differs.
-///
-/// # Errors
-///
-/// Returns [`Interrupted`] when the governor trips mid-traversal.
-///
-/// # Panics
-///
-/// As [`optimize_parallel_with_net_stats`]; additionally if `partition`
-/// does not cover exactly this circuit's gates.
-#[allow(clippy::too_many_arguments)]
-pub fn optimize_sharded_governed_with_net_stats(
-    circuit: &Circuit,
-    library: &Library,
-    model: &PowerModel,
-    net_stats: &[SignalStats],
-    objective: Objective,
-    partition: &Partition,
-    threads: usize,
-    governor: Option<&Governor>,
-) -> Result<OptimizeResult, Interrupted> {
-    assert!(threads > 0, "need at least one thread");
-    let total_gates: usize = partition.regions().iter().map(|r| r.gates.len()).sum();
-    assert_eq!(
-        total_gates,
-        circuit.gates().len(),
-        "partition must cover the circuit"
-    );
-    if !should_parallelize(exploration_work(circuit, library), threads) {
-        return optimize_governed_with_net_stats(
-            circuit,
-            library,
-            model,
-            net_stats,
-            objective,
-            &mut Scratch::new(),
-            governor,
-        );
-    }
-    let compiled = CompiledCircuit::compile(circuit, library).expect("validated circuit");
-    assert_cell_ids_aligned(circuit, &compiled, |k| model.cell_id(k), "PowerModel");
-    assert_eq!(
-        net_stats.len(),
-        compiled.net_count(),
-        "one SignalStats per net"
-    );
-    let loads = external_loads_compiled(&compiled, model);
-    let mut scratch = Scratch::new();
-    let before = circuit_total_compiled(&compiled, model, net_stats, &loads, &mut scratch, |i| {
-        compiled.gates()[i].config as usize
-    });
-
-    let n_regions = partition.regions().len();
-    let _g = tr_trace::span!(
-        "opt.sharded",
-        regions = n_regions,
-        threads = threads,
-        gates = compiled.gates().len()
-    );
-    let next = AtomicUsize::new(0);
-    let partials: Vec<Result<Vec<(usize, usize)>, Interrupted>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let compiled = &compiled;
-                let net_stats = &net_stats;
-                let loads = &loads;
-                let next = &next;
-                scope.spawn(move || {
-                    tr_trace::set_thread_name(&format!("opt-worker-{w}"));
-                    let mut scratch = Scratch::new();
-                    let mut buf = [SignalStats::constant(false); MAX_CELL_ARITY];
-                    let mut out = Vec::new();
-                    loop {
-                        let r = next.fetch_add(1, Ordering::Relaxed);
-                        if r >= n_regions {
-                            break;
-                        }
-                        let _g = tr_trace::span!(
-                            "opt.shard",
-                            id = r,
-                            gates = partition.regions()[r].gates.len()
-                        );
-                        for &gid in &partition.regions()[r].gates {
-                            if let Some(g) = governor {
-                                g.check("optimize")?;
-                            }
-                            let gate = &compiled.gates()[gid.0];
-                            gather_inputs(compiled, gate, net_stats, &mut buf);
-                            let (best, worst) = model.best_and_worst_by_id(
-                                gate.cell,
-                                &buf[..gate.arity as usize],
-                                loads[gate.output.0],
-                                &mut scratch,
-                            );
-                            let choice = match objective {
-                                Objective::MinimizePower => best,
-                                Objective::MaximizePower => worst,
-                            };
-                            out.push((gid.0, choice));
-                        }
+    /// Fills `out` with the selections of gates `start..start + out.len()`.
+    fn select_range(
+        &self,
+        start: usize,
+        out: &mut [usize],
+        scratch: &mut Scratch,
+    ) -> Result<(), Interrupted> {
+        let mut buf = [SignalStats::constant(false); MAX_CELL_ARITY];
+        for (slot, gate) in out.iter_mut().zip(&self.compiled.gates()[start..]) {
+            if let Some(g) = self.options.governor {
+                g.check("optimize")?;
+            }
+            gather_inputs(self.compiled, gate, self.net_stats, &mut buf);
+            let inputs = &buf[..gate.arity as usize];
+            let load = self.loads[gate.output.0];
+            *slot = match self.options.bound {
+                Bound::Local(timing) => {
+                    self.cheapest_dominating(gate, timing, inputs, load, scratch)
+                }
+                _ => {
+                    let (best, worst) = self
+                        .model
+                        .best_and_worst_by_id(gate.cell, inputs, load, scratch);
+                    match self.options.objective {
+                        Objective::MinimizePower => best,
+                        Objective::MaximizePower => worst,
                     }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("optimizer worker panicked"))
-            .collect()
-    });
-
-    let mut choices = vec![0usize; compiled.gates().len()];
-    for partial in partials {
-        for (i, choice) in partial? {
-            choices[i] = choice;
+                }
+            };
         }
+        Ok(())
     }
-    let mut result = circuit.clone();
-    let mut changed = 0usize;
-    for (i, &choice) in choices.iter().enumerate() {
-        if circuit.gates()[i].config != choice {
-            changed += 1;
-        }
-        result.set_config(tr_netlist::GateId(i), choice);
-    }
-    let after = circuit_total_compiled(&compiled, model, net_stats, &loads, &mut scratch, |i| {
-        choices[i]
-    });
-    Ok(OptimizeResult {
-        circuit: result,
-        power_before: before,
-        power_after: after,
-        changed_gates: changed,
-    })
-}
 
-/// Delay-bounded optimization — the paper's §6 future-work direction (b):
-/// "it is possible to obtain power reductions without increasing the
-/// delay of the circuit".
-///
-/// Each gate may only switch to configurations that are no slower than
-/// its *current* configuration on **every** input pin (at the gate's
-/// actual load). Pin-wise dominance is the local condition that makes the
-/// global guarantee sound: by induction over the topological order no
-/// arrival time can increase, so the circuit's critical path never grows.
-/// (Comparing only the worst pin would admit configurations that are
-/// slower on a non-worst pin and could lengthen a path through it.)
-///
-/// # Panics
-///
-/// As [`optimize`].
-pub fn optimize_delay_bounded(
-    circuit: &Circuit,
-    library: &Library,
-    model: &PowerModel,
-    timing: &TimingModel,
-    pi_stats: &[SignalStats],
-) -> OptimizeResult {
-    let net_stats = propagate(circuit, library, pi_stats);
-    optimize_delay_bounded_with_net_stats(circuit, library, model, timing, &net_stats)
-}
-
-/// [`optimize_delay_bounded`] against caller-supplied per-net statistics
-/// (see [`optimize_with_net_stats`]).
-///
-/// # Panics
-///
-/// As [`optimize_with_net_stats`].
-pub fn optimize_delay_bounded_with_net_stats(
-    circuit: &Circuit,
-    library: &Library,
-    model: &PowerModel,
-    timing: &TimingModel,
-    net_stats: &[SignalStats],
-) -> OptimizeResult {
-    let compiled = CompiledCircuit::compile(circuit, library).expect("validated circuit");
-    assert_cell_ids_aligned(circuit, &compiled, |k| model.cell_id(k), "PowerModel");
-    assert_cell_ids_aligned(circuit, &compiled, |k| timing.cell_id(k), "TimingModel");
-    assert_eq!(
-        net_stats.len(),
-        compiled.net_count(),
-        "one SignalStats per net"
-    );
-    let loads = external_loads_compiled(&compiled, model);
-    let mut scratch = Scratch::new();
-    let before = circuit_total_compiled(&compiled, model, net_stats, &loads, &mut scratch, |i| {
-        compiled.gates()[i].config as usize
-    });
-
-    let mut result = circuit.clone();
-    let mut changed = 0usize;
-    let mut choices = vec![0usize; compiled.gates().len()];
-    let mut buf = [SignalStats::constant(false); MAX_CELL_ARITY];
-    let mut budget = [0.0f64; MAX_CELL_ARITY];
-    for (i, gate) in compiled.gates().iter().enumerate() {
-        let arity = gate.arity as usize;
+    /// [`Bound::Local`]'s selection: the cheapest configuration no
+    /// slower than the gate's current one on any pin (the current one
+    /// wins ties, so an already-optimal gate never moves).
+    fn cheapest_dominating(
+        &self,
+        gate: &ResolvedGate,
+        timing: &TimingModel,
+        inputs: &[SignalStats],
+        load: f64,
+        scratch: &mut Scratch,
+    ) -> usize {
         let current = gate.config as usize;
-        gather_inputs(&compiled, gate, net_stats, &mut buf);
-        let inputs = &buf[..arity];
-        let load = loads[gate.output.0];
-        for (pin, slot) in budget.iter_mut().enumerate().take(arity) {
-            *slot = timing.gate_delay_by_id(gate.cell, current, pin, load);
-        }
+        let delay = |c: usize, pin: usize| timing.gate_delay_by_id(gate.cell, c, pin, load);
         let mut best = current;
-        let mut best_power = model.total_power_into(gate.cell, current, inputs, load, &mut scratch);
+        let mut best_power = self
+            .model
+            .total_power_into(gate.cell, current, inputs, load, scratch);
         for c in 0..gate.n_configs as usize {
-            let dominated = (0..arity).all(|pin| {
-                timing.gate_delay_by_id(gate.cell, c, pin, load) <= budget[pin] * (1.0 + 1e-12)
-            });
+            let dominated =
+                (0..inputs.len()).all(|pin| delay(c, pin) <= delay(current, pin) * (1.0 + 1e-12));
             if !dominated {
                 continue;
             }
-            let p = model.total_power_into(gate.cell, c, inputs, load, &mut scratch);
+            let p = self
+                .model
+                .total_power_into(gate.cell, c, inputs, load, scratch);
             if p < best_power {
                 best_power = p;
                 best = c;
             }
         }
-        if best != current {
-            changed += 1;
-        }
-        choices[i] = best;
-        result.set_config(tr_netlist::GateId(i), best);
-    }
-    let after = circuit_total_compiled(&compiled, model, net_stats, &loads, &mut scratch, |i| {
-        choices[i]
-    });
-    OptimizeResult {
-        circuit: result,
-        power_before: before,
-        power_after: after,
-        changed_gates: changed,
+        best
     }
 }
 
@@ -712,7 +463,7 @@ pub fn optimize_delay_bounded_with_net_stats(
 mod tests {
     use super::*;
     use tr_gatelib::Process;
-    use tr_netlist::generators;
+    use tr_netlist::{generators, suite};
     use tr_power::scenario::Scenario;
 
     fn setup() -> (Library, PowerModel, TimingModel) {
@@ -720,6 +471,22 @@ mod tests {
         let model = PowerModel::new(&lib, Process::default());
         let timing = TimingModel::new(&lib, Process::default());
         (lib, model, timing)
+    }
+
+    /// One minimizing pass under `bound` from primary-input statistics.
+    fn bounded(
+        c: &Circuit,
+        lib: &Library,
+        model: &PowerModel,
+        bound: Bound,
+        stats: &[SignalStats],
+    ) -> OptimizeResult {
+        let options = OptimizeOptions {
+            bound,
+            ..OptimizeOptions::default()
+        };
+        let net_stats = propagate(c, lib, stats);
+        optimize_with(c, lib, model, &net_stats, &options, &mut Scratch::new()).unwrap()
     }
 
     #[test]
@@ -737,36 +504,54 @@ mod tests {
         assert!(headroom > 2.0, "headroom only {headroom:.2}%");
     }
 
+    /// Per-gate choices are independent given the net statistics, so
+    /// the worker count is invisible in the result: every suite circuit
+    /// under every bound gives the identical circuit and bitwise-equal
+    /// totals on 1, 2 and 4 threads — and the unbounded inline pass
+    /// agrees with the primary-input entry point.
     #[test]
-    fn net_stats_entry_points_match_pi_entry_points() {
+    fn results_are_thread_invariant_under_every_bound() {
         let (lib, model, timing) = setup();
-        let c = generators::mux_tree(3, &lib);
-        let stats = Scenario::a().input_stats(c.primary_inputs().len(), 4);
-        let net_stats = propagate(&c, &lib, &stats);
-        let via_pi = optimize(&c, &lib, &model, &stats, Objective::MinimizePower);
-        let via_nets = optimize_with_net_stats(
-            &c,
-            &lib,
-            &model,
-            &net_stats,
-            Objective::MinimizePower,
-            &mut Scratch::new(),
-        );
-        assert_eq!(via_pi.circuit, via_nets.circuit);
-        assert_eq!(via_pi.power_after, via_nets.power_after);
-        let par = optimize_parallel_with_net_stats(
-            &c,
-            &lib,
-            &model,
-            &net_stats,
-            Objective::MinimizePower,
-            2,
-        );
-        assert_eq!(par.circuit, via_pi.circuit);
-        let bounded_pi = optimize_delay_bounded(&c, &lib, &model, &timing, &stats);
-        let bounded_nets =
-            optimize_delay_bounded_with_net_stats(&c, &lib, &model, &timing, &net_stats);
-        assert_eq!(bounded_pi.circuit, bounded_nets.circuit);
+        let mut pooled = 0usize;
+        for case in suite::standard_suite(&lib) {
+            let c = &case.circuit;
+            let stats = Scenario::a().input_stats(c.primary_inputs().len(), 8);
+            let net_stats = propagate(c, &lib, &stats);
+            let compiled = CompiledCircuit::compile(c, &lib).unwrap();
+            if exploration_work(&compiled) >= PARALLEL_MIN_WORK {
+                pooled += 1;
+            }
+            for bound in [
+                Bound::Unbounded,
+                Bound::Local(&timing),
+                Bound::Slack(&timing),
+            ] {
+                let run = |threads| {
+                    let options = OptimizeOptions {
+                        bound,
+                        threads,
+                        ..OptimizeOptions::default()
+                    };
+                    optimize_with(c, &lib, &model, &net_stats, &options, &mut Scratch::new())
+                        .unwrap()
+                };
+                let inline = run(1);
+                for threads in [2, 4] {
+                    let r = run(threads);
+                    let what = format!("{} {bound:?} threads={threads}", case.name);
+                    assert_eq!(r.circuit, inline.circuit, "{what}");
+                    assert_eq!(r.power_before, inline.power_before, "{what}");
+                    assert_eq!(r.power_after, inline.power_after, "{what}");
+                    assert_eq!(r.changed_gates, inline.changed_gates, "{what}");
+                }
+                if let Bound::Unbounded = bound {
+                    let via_pi = optimize(c, &lib, &model, &stats, Objective::MinimizePower);
+                    assert_eq!(via_pi.circuit, inline.circuit, "{}", case.name);
+                    assert_eq!(via_pi.power_after, inline.power_after, "{}", case.name);
+                }
+            }
+        }
+        assert!(pooled > 0, "some suite circuit must exercise the pool");
     }
 
     #[test]
@@ -851,83 +636,38 @@ mod tests {
     }
 
     #[test]
-    fn small_circuits_fall_back_to_serial() {
+    #[should_panic(expected = "delay bounds only minimize power")]
+    fn bounded_maximize_panics() {
+        let (lib, model, timing) = setup();
+        let c = generators::ripple_carry_adder(2, &lib);
+        let net_stats = propagate(&c, &lib, &Scenario::a().input_stats(5, 1));
+        let options = OptimizeOptions {
+            objective: Objective::MaximizePower,
+            bound: Bound::Local(&timing),
+            ..OptimizeOptions::default()
+        };
+        let _ = optimize_with(&c, &lib, &model, &net_stats, &options, &mut Scratch::new());
+    }
+
+    #[test]
+    fn small_circuits_stay_inline() {
         // Regression guard for BENCH_PR4's p3_optimize_rca16_parallel4
         // (390 µs parallel vs 318 µs serial): on pool-overhead-scale work
-        // the parallel entry must take the serial path.
-        let (lib, model, _) = setup();
+        // a multi-threaded pass must explore inline.
+        let lib = Library::standard();
         let rca16 = generators::ripple_carry_adder(16, &lib);
-        let rca_work = exploration_work(&rca16, &lib);
+        let rca_work = exploration_work(&CompiledCircuit::compile(&rca16, &lib).unwrap());
         assert!(
-            !should_parallelize(rca_work, 4),
-            "rca16 ({rca_work} config evals) must fall back to serial"
+            rca_work < PARALLEL_MIN_WORK,
+            "rca16 ({rca_work} config evals) must stay inline"
         );
-        // One thread never parallelizes, however big the work.
-        assert!(!should_parallelize(usize::MAX, 1));
         // A large multiplier clears the threshold and keeps the pool.
         let mult8 = generators::array_multiplier(8, &lib);
-        let mult_work = exploration_work(&mult8, &lib);
+        let mult_work = exploration_work(&CompiledCircuit::compile(&mult8, &lib).unwrap());
         assert!(
-            should_parallelize(mult_work, 4),
+            mult_work >= PARALLEL_MIN_WORK,
             "mult8 ({mult_work} config evals) should use the pool"
         );
-        // The fallback is result-identical to the forced-parallel path.
-        let stats = Scenario::a().input_stats(rca16.primary_inputs().len(), 5);
-        let seq = optimize(&rca16, &lib, &model, &stats, Objective::MinimizePower);
-        let par = optimize_parallel(&rca16, &lib, &model, &stats, Objective::MinimizePower, 4);
-        assert_eq!(par.circuit, seq.circuit);
-        assert!((par.power_after - seq.power_after).abs() < 1e-18);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let (lib, model, _) = setup();
-        let c = generators::array_multiplier(4, &lib);
-        let stats = Scenario::a().input_stats(c.primary_inputs().len(), 8);
-        let seq = optimize(&c, &lib, &model, &stats, Objective::MinimizePower);
-        for threads in [1, 2, 4] {
-            let par =
-                optimize_parallel(&c, &lib, &model, &stats, Objective::MinimizePower, threads);
-            assert_eq!(par.circuit, seq.circuit, "threads={threads}");
-            assert!((par.power_after - seq.power_after).abs() < 1e-18);
-        }
-    }
-
-    #[test]
-    fn region_sharded_matches_sequential() {
-        let (lib, model, _) = setup();
-        let c = generators::array_multiplier(8, &lib);
-        let stats = Scenario::a().input_stats(c.primary_inputs().len(), 8);
-        let net_stats = propagate(&c, &lib, &stats);
-        let seq = optimize_with_net_stats(
-            &c,
-            &lib,
-            &model,
-            &net_stats,
-            Objective::MinimizePower,
-            &mut Scratch::new(),
-        );
-        let compiled = CompiledCircuit::compile(&c, &lib).unwrap();
-        let part = tr_netlist::partition::partition(
-            &compiled,
-            &tr_netlist::partition::PartitionOptions::default(),
-        );
-        assert!(part.regions().len() > 1, "want a real shard schedule");
-        for threads in [1, 2, 4] {
-            let sharded = optimize_sharded_governed_with_net_stats(
-                &c,
-                &lib,
-                &model,
-                &net_stats,
-                Objective::MinimizePower,
-                &part,
-                threads,
-                None,
-            )
-            .unwrap();
-            assert_eq!(sharded.circuit, seq.circuit, "threads={threads}");
-            assert!((sharded.power_after - seq.power_after).abs() < 1e-18);
-        }
     }
 
     #[test]
@@ -936,7 +676,7 @@ mod tests {
         let c = generators::ripple_carry_adder(8, &lib);
         let stats = Scenario::a().input_stats(c.primary_inputs().len(), 17);
         let before = tr_timing::critical_path_delay(&c, &timing);
-        let r = optimize_delay_bounded(&c, &lib, &model, &timing, &stats);
+        let r = bounded(&c, &lib, &model, Bound::Local(&timing), &stats);
         let after = tr_timing::critical_path_delay(&r.circuit, &timing);
         assert!(
             after <= before * (1.0 + 1e-9),
@@ -951,8 +691,8 @@ mod tests {
         let c = generators::ripple_carry_adder(16, &lib);
         let stats = Scenario::a().input_stats(c.primary_inputs().len(), 2);
         let unbounded = optimize(&c, &lib, &model, &stats, Objective::MinimizePower);
-        let bounded = optimize_delay_bounded(&c, &lib, &model, &timing, &stats);
-        assert!(bounded.power_after >= unbounded.power_after - 1e-18);
+        let local = bounded(&c, &lib, &model, Bound::Local(&timing), &stats);
+        assert!(local.power_after >= unbounded.power_after - 1e-18);
     }
 
     #[test]
@@ -1004,11 +744,8 @@ pub mod slack;
 
 pub use analysis::{instance_demand, CellDemand, InstanceDemand};
 pub use fixpoint::{
-    optimize_to_fixpoint, optimize_to_fixpoint_governed, optimize_to_fixpoint_with_propagator,
-    FixpointOptions, FixpointReport, FixpointTermination, DEFAULT_MAX_ITERATIONS,
+    optimize_to_fixpoint, FixpointOptions, FixpointReport, FixpointTermination,
+    DEFAULT_MAX_ITERATIONS,
 };
 pub use heuristic::{optimize_rule_based, Rule};
-pub use slack::{
-    delay_power_tradeoff, optimize_slack_aware, optimize_slack_aware_with_net_stats,
-    DelayPowerTradeoff,
-};
+pub use slack::{delay_power_tradeoff, DelayPowerTradeoff};

@@ -1,7 +1,7 @@
-//! Slack-aware delay-constrained optimization.
+//! Slack-aware delay-constrained optimization ([`crate::Bound::Slack`]).
 //!
-//! [`crate::optimize_delay_bounded`] is *local*: no gate may get slower
-//! than its own current configuration. That is safe but pessimistic —
+//! [`crate::Bound::Local`] is *local*: no gate may get slower than its
+//! own current configuration. That is safe but pessimistic —
 //! off-critical gates usually have timing slack to spend on cheaper
 //! orderings. This module implements the global version of the paper's
 //! §6 future-work direction (b): minimize power subject to the circuit's
@@ -14,99 +14,48 @@
 //! meets it, so the pass is total, and by induction the final critical
 //! path never exceeds the budget.
 
-use crate::{Objective, OptimizeResult};
-use std::collections::HashMap;
+use crate::{gather_inputs, optimize_with, Bound, OptimizeOptions, Pass};
+use tr_boolean::govern::Interrupted;
 use tr_boolean::SignalStats;
 use tr_gatelib::Library;
-use tr_netlist::{Circuit, GateId, NetId};
-use tr_power::{circuit_power, external_loads, propagate, PowerModel};
+use tr_netlist::Circuit;
+use tr_power::{circuit_power, propagate, PowerModel, Scratch, MAX_CELL_ARITY};
 use tr_timing::TimingModel;
 
-/// Slack-aware delay-bounded optimization: global timing budget, per-gate
-/// cheapest-feasible choice.
-///
-/// `margin` relaxes the budget: the critical path may grow to
-/// `(1 + margin) ×` the original (0.0 = no increase allowed). With a
-/// large margin this converges to the unconstrained optimum.
-///
-/// # Panics
-///
-/// Panics if `pi_stats.len()` differs from the primary-input count, the
-/// circuit is invalid, a cell is missing, or `margin < 0`.
-pub fn optimize_slack_aware(
+/// The slack-aware pass's selection for every gate, indexed like
+/// `pass.compiled.gates()`: the cheapest configuration whose output
+/// arrival (over the configurations already committed upstream) meets
+/// the gate's required time against the original critical delay.
+pub(crate) fn choices(
     circuit: &Circuit,
-    library: &Library,
-    model: &PowerModel,
+    pass: &Pass,
     timing: &TimingModel,
-    pi_stats: &[SignalStats],
-    margin: f64,
-) -> OptimizeResult {
-    let net_stats = propagate(circuit, library, pi_stats);
-    optimize_slack_aware_with_net_stats(circuit, library, model, timing, &net_stats, margin)
-}
+    scratch: &mut Scratch,
+) -> Result<Vec<usize>, Interrupted> {
+    let Pass {
+        compiled,
+        model,
+        net_stats,
+        loads,
+        options,
+    } = *pass;
+    let gates = compiled.gates();
+    let order = compiled.order();
+    let delay = |g: usize, c: usize, pin: usize| {
+        timing.gate_delay_by_id(gates[g].cell, c, pin, loads[gates[g].output.0])
+    };
 
-/// [`optimize_slack_aware`] against caller-supplied per-net statistics
-/// (see [`crate::optimize_with_net_stats`]).
-///
-/// # Panics
-///
-/// As [`optimize_slack_aware`], with `net_stats.len()` checked against
-/// the net count.
-pub fn optimize_slack_aware_with_net_stats(
-    circuit: &Circuit,
-    library: &Library,
-    model: &PowerModel,
-    timing: &TimingModel,
-    net_stats: &[SignalStats],
-    margin: f64,
-) -> OptimizeResult {
-    assert!(margin >= 0.0, "negative slack margin");
-    assert_eq!(
-        net_stats.len(),
-        circuit.net_count(),
-        "one SignalStats per net"
-    );
-    // Same mismatched-library guard as the other `*_with_net_stats`
-    // entry points, but without compiling a view this function never
-    // uses: resolve each distinct cell kind once against all three
-    // indices (the standard library has ~20 kinds, so the linear scan
-    // of `checked` is noise).
-    let mut checked: Vec<&tr_gatelib::CellKind> = Vec::new();
-    for gate in circuit.gates() {
-        if checked.contains(&&gate.cell) {
-            continue;
-        }
-        let lib_id = library.cell_id(&gate.cell);
-        assert!(lib_id.is_some(), "cell {} not in library", gate.cell);
-        for (got, what) in [
-            (model.cell_id(&gate.cell), "PowerModel"),
-            (timing.cell_id(&gate.cell), "TimingModel"),
-        ] {
-            assert_eq!(
-                got, lib_id,
-                "{what} was built from a different library than this circuit"
-            );
-        }
-        checked.push(&gate.cell);
-    }
-    let loads = external_loads(circuit, model);
-    let before = circuit_power(circuit, model, net_stats).total;
-
-    let order = circuit.topological_order().expect("validated circuit");
-    let drivers = circuit.drivers();
-
-    // Original arrival times and the timing budget.
-    let arrivals = tr_timing::arrival_times(circuit, timing);
-    let budget = arrivals.iter().cloned().fold(0.0, f64::max) * (1.0 + margin);
+    // The timing budget: the original critical delay.
+    let budget = tr_timing::arrival_times(circuit, timing)
+        .into_iter()
+        .fold(0.0, f64::max);
 
     // Required times against original gate delays, in reverse topo order.
-    let mut required: Vec<f64> = vec![budget; circuit.net_count()];
+    let mut required: Vec<f64> = vec![budget; compiled.net_count()];
     for gid in order.iter().rev() {
-        let gate = circuit.gate(*gid);
-        let load = loads[gate.output.0];
-        for (pin, net) in gate.inputs.iter().enumerate() {
-            let d = timing.gate_delay(&gate.cell, gate.config, pin, load);
-            let need = required[gate.output.0] - d;
+        let gate = &gates[gid.0];
+        for (pin, net) in compiled.inputs(gate).iter().enumerate() {
+            let need = required[gate.output.0] - delay(gid.0, gate.config as usize, pin);
             if need < required[net.0] {
                 required[net.0] = need;
             }
@@ -114,81 +63,51 @@ pub fn optimize_slack_aware_with_net_stats(
     }
 
     // Forward pass: cheapest configuration meeting the required time.
+    // Undriven nets (primary inputs) arrive at 0; every driven net is
+    // committed before its readers (topological order).
     let eps = budget * 1e-12;
-    let mut new_arrival: HashMap<NetId, f64> = HashMap::new();
-    let arr = |net: NetId, map: &HashMap<NetId, f64>, drivers: &HashMap<NetId, GateId>| -> f64 {
-        if drivers.contains_key(&net) {
-            *map.get(&net).expect("topological order")
-        } else {
-            0.0
+    let mut arrival = vec![0.0f64; compiled.net_count()];
+    let mut choices = vec![0usize; gates.len()];
+    let mut buf = [SignalStats::constant(false); MAX_CELL_ARITY];
+    for gid in order {
+        if let Some(g) = options.governor {
+            g.check("optimize")?;
         }
-    };
-    let mut result = circuit.clone();
-    let mut changed = 0usize;
-    let mut scratch = tr_power::Scratch::new();
-    for gid in &order {
-        let gate = circuit.gate(*gid);
-        // Each model resolves the kind through its own index, so mixing
-        // models built from different libraries stays safe (worst case: a
-        // panic on an unknown cell, never another cell's tables).
-        let id = model
-            .cell_id(&gate.cell)
-            .unwrap_or_else(|| panic!("unknown cell {}", gate.cell));
-        let tid = timing
-            .cell_id(&gate.cell)
-            .unwrap_or_else(|| panic!("unknown cell {}", gate.cell));
+        let gate = &gates[gid.0];
+        let nets = compiled.inputs(gate);
+        let arrival_with = |c: usize| {
+            nets.iter()
+                .enumerate()
+                .map(|(pin, net)| arrival[net.0] + delay(gid.0, c, pin))
+                .fold(0.0f64, f64::max)
+        };
+        gather_inputs(compiled, gate, net_stats, &mut buf);
+        let inputs = &buf[..nets.len()];
         let load = loads[gate.output.0];
-        let inputs: Vec<SignalStats> = gate.inputs.iter().map(|n| net_stats[n.0]).collect();
+        let current = gate.config as usize;
         let deadline = required[gate.output.0] + eps;
 
-        let mut best_cfg = gate.config;
+        let mut best_cfg = current;
         let mut best_power = f64::MAX;
         let mut best_arrival = f64::MAX;
-        for c in 0..model.n_configs(id) {
-            let a = gate
-                .inputs
-                .iter()
-                .enumerate()
-                .map(|(pin, net)| {
-                    arr(*net, &new_arrival, &drivers) + timing.gate_delay_by_id(tid, c, pin, load)
-                })
-                .fold(0.0f64, f64::max);
-            if a > deadline && c != gate.config {
+        for c in 0..gate.n_configs as usize {
+            let a = arrival_with(c);
+            if a > deadline && c != current {
                 continue;
             }
-            let p = model.total_power_into(id, c, &inputs, load, &mut scratch);
+            let p = model.total_power_into(gate.cell, c, inputs, load, scratch);
             if p < best_power || (p == best_power && a < best_arrival) {
                 best_power = p;
                 best_cfg = c;
                 best_arrival = a;
             }
         }
-        // Recompute the committed arrival (the original config is always
-        // admissible, so best_cfg is well-defined even if every candidate
-        // else missed the deadline).
-        let committed = gate
-            .inputs
-            .iter()
-            .enumerate()
-            .map(|(pin, net)| {
-                arr(*net, &new_arrival, &drivers)
-                    + timing.gate_delay_by_id(tid, best_cfg, pin, load)
-            })
-            .fold(0.0f64, f64::max);
-        new_arrival.insert(gate.output, committed);
-        if best_cfg != gate.config {
-            changed += 1;
-        }
-        result.set_config(*gid, best_cfg);
+        // The original config is always admissible, so best_cfg is
+        // well-defined even if every other candidate missed the deadline.
+        arrival[gate.output.0] = arrival_with(best_cfg);
+        choices[gid.0] = best_cfg;
     }
-
-    let after = circuit_power(&result, model, net_stats).total;
-    OptimizeResult {
-        circuit: result,
-        power_before: before,
-        power_after: after,
-        changed_gates: changed,
-    }
+    Ok(choices)
 }
 
 /// Convenience: best power without constraints, then the slack-aware,
@@ -197,7 +116,7 @@ pub fn optimize_slack_aware_with_net_stats(
 pub struct DelayPowerTradeoff {
     /// Model power of the unconstrained best (W).
     pub unconstrained: f64,
-    /// Model power of the slack-aware zero-margin result (W).
+    /// Model power of the slack-aware result (W).
     pub slack_aware: f64,
     /// Model power of the locally delay-bounded result (W).
     pub locally_bounded: f64,
@@ -214,7 +133,7 @@ pub struct DelayPowerTradeoff {
 ///
 /// # Panics
 ///
-/// As [`optimize_slack_aware`].
+/// As [`crate::optimize`].
 pub fn delay_power_tradeoff(
     circuit: &Circuit,
     library: &Library,
@@ -223,16 +142,23 @@ pub fn delay_power_tradeoff(
     pi_stats: &[SignalStats],
 ) -> DelayPowerTradeoff {
     let net_stats = propagate(circuit, library, pi_stats);
-    let original = circuit_power(circuit, model, &net_stats).total;
-    let unconstrained =
-        crate::optimize(circuit, library, model, pi_stats, Objective::MinimizePower);
-    let slack = optimize_slack_aware(circuit, library, model, timing, pi_stats, 0.0);
-    let local = crate::optimize_delay_bounded(circuit, library, model, timing, pi_stats);
+    let mut scratch = Scratch::new();
+    let mut run = |bound| {
+        let options = OptimizeOptions {
+            bound,
+            ..OptimizeOptions::default()
+        };
+        optimize_with(circuit, library, model, &net_stats, &options, &mut scratch)
+            .expect("ungoverned traversal cannot be interrupted")
+    };
+    let unconstrained = run(Bound::Unbounded);
+    let slack = run(Bound::Slack(timing));
+    let local = run(Bound::Local(timing));
     DelayPowerTradeoff {
         unconstrained: unconstrained.power_after,
         slack_aware: slack.power_after,
         locally_bounded: local.power_after,
-        original,
+        original: circuit_power(circuit, model, &net_stats).total,
         delay_original: tr_timing::critical_path_delay(circuit, timing),
         delay_unconstrained: tr_timing::critical_path_delay(&unconstrained.circuit, timing),
     }
@@ -252,6 +178,22 @@ mod tests {
         (lib, model, timing)
     }
 
+    /// One minimizing pass under `bound` from primary-input statistics.
+    fn bounded(
+        c: &Circuit,
+        lib: &Library,
+        model: &PowerModel,
+        bound: Bound,
+        stats: &[SignalStats],
+    ) -> crate::OptimizeResult {
+        let options = OptimizeOptions {
+            bound,
+            ..OptimizeOptions::default()
+        };
+        let net_stats = propagate(c, lib, stats);
+        optimize_with(c, lib, model, &net_stats, &options, &mut Scratch::new()).unwrap()
+    }
+
     #[test]
     fn never_exceeds_the_budget() {
         let (lib, model, timing) = setup();
@@ -262,29 +204,11 @@ mod tests {
         ] {
             let stats = Scenario::a().input_stats(c.primary_inputs().len(), 3);
             let before = tr_timing::critical_path_delay(&c, &timing);
-            let r = optimize_slack_aware(&c, &lib, &model, &timing, &stats, 0.0);
+            let r = bounded(&c, &lib, &model, Bound::Slack(&timing), &stats);
             let after = tr_timing::critical_path_delay(&r.circuit, &timing);
             assert!(after <= before * (1.0 + 1e-9), "{name}: {before} → {after}");
             assert!(r.power_after <= r.power_before + 1e-18, "{name}");
         }
-    }
-
-    #[test]
-    fn margin_relaxes_toward_unconstrained() {
-        let (lib, model, timing) = setup();
-        let c = generators::ripple_carry_adder(16, &lib);
-        let stats = Scenario::a().input_stats(c.primary_inputs().len(), 5);
-        let unconstrained = crate::optimize(&c, &lib, &model, &stats, Objective::MinimizePower);
-        let tight = optimize_slack_aware(&c, &lib, &model, &timing, &stats, 0.0);
-        let loose = optimize_slack_aware(&c, &lib, &model, &timing, &stats, 10.0);
-        assert!(tight.power_after + 1e-18 >= unconstrained.power_after);
-        assert!(loose.power_after <= tight.power_after + 1e-18);
-        // With a huge margin we should land on (or extremely near) the
-        // unconstrained optimum.
-        assert!(
-            (loose.power_after - unconstrained.power_after).abs()
-                <= unconstrained.power_after * 1e-6
-        );
     }
 
     #[test]
@@ -301,8 +225,8 @@ mod tests {
             generators::array_multiplier(4, &lib),
         ] {
             let stats = Scenario::a().input_stats(c.primary_inputs().len(), 11);
-            let slack = optimize_slack_aware(&c, &lib, &model, &timing, &stats, 0.0);
-            let local = crate::optimize_delay_bounded(&c, &lib, &model, &timing, &stats);
+            let slack = bounded(&c, &lib, &model, Bound::Slack(&timing), &stats);
+            let local = bounded(&c, &lib, &model, Bound::Local(&timing), &stats);
             total += 1;
             if slack.power_after <= local.power_after * (1.0 + 1e-9) {
                 wins += 1;
@@ -331,7 +255,7 @@ mod tests {
         let (lib, model, timing) = setup();
         let c = generators::parity_tree(8, &lib);
         let stats = Scenario::a().input_stats(8, 13);
-        let r = optimize_slack_aware(&c, &lib, &model, &timing, &stats, 0.0);
+        let r = bounded(&c, &lib, &model, Bound::Slack(&timing), &stats);
         for m in 0..256usize {
             let v: Vec<bool> = (0..8).map(|i| (m >> i) & 1 == 1).collect();
             assert_eq!(c.evaluate(&lib, &v), r.circuit.evaluate(&lib, &v));

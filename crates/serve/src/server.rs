@@ -13,8 +13,8 @@
 //! everything already queued or in flight before `run` returns.
 
 use std::collections::VecDeque;
-use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -189,8 +189,7 @@ impl Server {
             if q.conns.len() >= self.shared.config.queue_depth {
                 drop(q);
                 metrics::counter("serve.http.rejected").inc();
-                let mut s = stream;
-                let _ = reject(&mut s, 429, "admission queue full, retry later");
+                reject_and_close(stream, 429, "admission queue full, retry later");
                 continue;
             }
             q.conns.push_back((stream, Instant::now()));
@@ -328,6 +327,34 @@ fn dispatch(shared: &Shared, req: &Request, out: &mut TcpStream, scratch: &mut S
     let _ = result; // the peer may already be gone; that's its problem
     metrics::histogram(&format!("serve.http.{endpoint}.latency_us"))
         .record(t.elapsed().as_micros() as u64);
+}
+
+/// How long the accept loop waits, in total, for a rejected client's
+/// request bytes before closing the connection.
+const REJECT_DRAIN: Duration = Duration::from_millis(50);
+
+/// Answers `status` on a connection the server will not serve, then
+/// closes it gracefully: half-close so the response is delivered, and
+/// discard what the client sent (at most [`http::MAX_HEAD_BYTES`],
+/// within [`REJECT_DRAIN`]). Closing with request bytes still unread
+/// makes the kernel send a reset, which can beat the response to the
+/// client.
+fn reject_and_close(mut stream: TcpStream, status: u16, msg: &str) {
+    let _ = reject(&mut stream, status, msg);
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + REJECT_DRAIN;
+    let mut buf = [0u8; 4096];
+    let mut drained = 0usize;
+    while drained < http::MAX_HEAD_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
+        }
+    }
 }
 
 /// The JSON error envelope every non-200 carries.

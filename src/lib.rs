@@ -82,13 +82,13 @@ pub mod prelude {
     pub use tr_power::scenario::Scenario;
     pub use tr_power::{
         circuit_power, circuit_total_compiled, external_loads, external_loads_compiled, monte,
-        propagate, propagate_exact, propagate_exact_bdd, propagate_with_mode, IncrementalPower,
+        propagate, propagate_exact, propagate_exact_bdd, propagate_with_mode,
         IncrementalPropagator, PowerModel, PropagationMode, Scratch,
     };
     pub use tr_reorder::{
-        delay_power_tradeoff, instance_demand, optimize, optimize_delay_bounded, optimize_parallel,
-        optimize_slack_aware, optimize_to_fixpoint, optimize_with_net_stats, FixpointOptions,
-        FixpointReport, FixpointTermination, InstanceDemand, Objective, OptimizeResult,
+        delay_power_tradeoff, instance_demand, optimize, optimize_to_fixpoint, optimize_with,
+        optimize_with_net_stats, Bound, FixpointOptions, FixpointReport, FixpointTermination,
+        InstanceDemand, Objective, OptimizeOptions, OptimizeResult,
     };
     pub use tr_sim::{
         simulate, simulate_traced, simulate_with_drives, vcd, InputDrive, SimConfig, SimReport,

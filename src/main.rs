@@ -532,16 +532,17 @@ fn cmd_analyze(args: &[String]) -> Result<(), Error> {
     if opts.fixpoint {
         // Read-only: run the fixed-point loop to report its convergence
         // behavior without touching the netlist.
+        let mut propagator = IncrementalPropagator::new(&circuit, &env.library, &stats, mode)?;
         let rep = optimize_to_fixpoint(
             &circuit,
             &env.library,
             &env.model,
-            &stats,
-            mode,
+            &mut propagator,
             FixpointOptions {
                 objective: opts.objective,
                 ..FixpointOptions::default()
             },
+            None,
         )?;
         println!(
             "fixpoint: {} after {} iterations ({} cone re-propagations, {} nets re-derived)",

@@ -37,14 +37,19 @@ fn optimize_picks_reference_optimal_configs_on_the_full_suite() {
         let best = optimize(circuit, &lib, &model, &stats, Objective::MinimizePower);
         let worst = optimize(circuit, &lib, &model, &stats, Objective::MaximizePower);
         // The parallel traversal is the same decision procedure.
-        let best_par = optimize_parallel(
+        let options = OptimizeOptions {
+            threads,
+            ..OptimizeOptions::default()
+        };
+        let best_par = optimize_with(
             circuit,
             &lib,
             &model,
-            &stats,
-            Objective::MinimizePower,
-            threads,
-        );
+            &net_stats,
+            &options,
+            &mut Scratch::new(),
+        )
+        .expect("ungoverned");
         assert_eq!(best.circuit, best_par.circuit, "{}", case.name);
 
         for (i, gate) in circuit.gates().iter().enumerate() {

@@ -174,7 +174,13 @@ fn delay_bounded_optimizer_end_to_end() {
     let (lib, _, model, timing) = harness();
     let c = generators::array_multiplier(4, &lib);
     let stats = Scenario::a().input_stats(c.primary_inputs().len(), 77);
-    let r = optimize_delay_bounded(&c, &lib, &model, &timing, &stats);
+    let options = OptimizeOptions {
+        bound: Bound::Local(&timing),
+        ..OptimizeOptions::default()
+    };
+    let net_stats = propagate(&c, &lib, &stats);
+    let r = optimize_with(&c, &lib, &model, &net_stats, &options, &mut Scratch::new())
+        .expect("ungoverned");
     let d_before = critical_path_delay(&c, &timing);
     let d_after = critical_path_delay(&r.circuit, &timing);
     assert!(d_after <= d_before * (1.0 + 1e-9));

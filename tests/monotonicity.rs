@@ -141,11 +141,24 @@ fn delay_bounded_variant_holds_the_invariants() {
     let lib = Library::standard();
     let model = PowerModel::new(&lib, Process::default());
     let timing = TimingModel::new(&lib, Process::default());
+    let options = OptimizeOptions {
+        bound: Bound::Local(&timing),
+        ..OptimizeOptions::default()
+    };
     let mut rng = StdRng::seed_from_u64(0xDE1A);
     for (name, circuit) in generator_circuits(&lib) {
         let n_in = circuit.primary_inputs().len();
         let stats = Scenario::a().input_stats(n_in, 11);
-        let bounded = optimize_delay_bounded(&circuit, &lib, &model, &timing, &stats);
+        let net_stats = propagate(&circuit, &lib, &stats);
+        let bounded = optimize_with(
+            &circuit,
+            &lib,
+            &model,
+            &net_stats,
+            &options,
+            &mut Scratch::new(),
+        )
+        .expect("ungoverned");
         let free = optimize(&circuit, &lib, &model, &stats, Objective::MinimizePower);
         assert!(
             free.power_after <= bounded.power_after + 1e-18,

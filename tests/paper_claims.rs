@@ -109,7 +109,13 @@ fn greedy_traversal_is_order_independent() {
     let c = generators::comparator(6, &lib);
     let stats = Scenario::a().input_stats(c.primary_inputs().len(), 99);
     let seq = optimize(&c, &lib, &model, &stats, Objective::MinimizePower);
-    let par = optimize_parallel(&c, &lib, &model, &stats, Objective::MinimizePower, 4);
+    let options = OptimizeOptions {
+        threads: 4,
+        ..OptimizeOptions::default()
+    };
+    let net_stats = propagate(&c, &lib, &stats);
+    let par = optimize_with(&c, &lib, &model, &net_stats, &options, &mut Scratch::new())
+        .expect("ungoverned");
     assert_eq!(seq.circuit, par.circuit);
     assert!((seq.power_after - par.power_after).abs() < 1e-21);
 }
