@@ -1002,41 +1002,21 @@ impl Flow {
             stale_power_discrepancy_w = Some(rep.stale_discrepancy_w());
             rep.result
         } else {
-            let mut primary =
+            let primary =
                 self.degradable("optimize", run_governor.as_ref(), &mut ladder, |governor| {
                     self.optimize_once(env, circuit, &net_stats, self.objective, scratch, governor)
                 })?;
-            // Exact backends used to report the optimized circuit's
-            // power under pre-optimization statistics — sound for the
-            // paper's config-only moves (§4.2) but never checked. Now
-            // the accepted changes go through the propagator, which
-            // re-derives the cones of those that changed a cell (none,
-            // for reordering moves), and the final number is recomputed
-            // fresh, recording how far off the stale report would have
-            // been. A refresh that re-derived no net leaves the
-            // statistics the optimizer just scored the final circuit
-            // against, so its `power_after` already is the fresh total.
+            // The accepted changes go through the propagator, which
+            // re-derives the cones of those that changed a cell. The
+            // optimizer only reorders, which preserves every gate's
+            // function (§4.2), so the refresh re-derives no net: the
+            // statistics the optimizer scored the final circuit against
+            // are fresh, and its `power_after` is the exact total.
             if prob != PropagationMode::Independent && primary.changed_gates > 0 {
                 let dirty = changed_gate_ids(circuit, &primary.circuit);
-                match propagator.refresh(&primary.circuit, &env.library, &dirty) {
-                    Ok(nets) if nets.is_empty() => stale_power_discrepancy_w = Some(0.0),
-                    Ok(_) => {
-                        let fresh =
-                            circuit_power(&primary.circuit, &env.model, propagator.net_stats())
-                                .total;
-                        stale_power_discrepancy_w = Some((primary.power_after - fresh).abs());
-                        primary.power_after = fresh;
-                    }
-                    Err(PropagationError::Interrupted(i))
-                        if self.degrade && i.reason != TripReason::Cancelled =>
-                    {
-                        // The freshness check is verification, not
-                        // product: skip it rather than fail the run;
-                        // `degraded` flags the gap.
-                        ladder.record("finish-ungoverned", "optimize", &i);
-                    }
-                    Err(e) => return Err(e.into()),
-                }
+                let nets = propagator.refresh(&primary.circuit, &env.library, &dirty)?;
+                debug_assert!(nets.is_empty(), "reordering changed a statistic");
+                stale_power_discrepancy_w = Some(0.0);
             }
             primary
         };

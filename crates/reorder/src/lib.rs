@@ -338,6 +338,14 @@ fn exploration_work(compiled: &CompiledCircuit) -> usize {
     compiled.gates().iter().map(|g| g.n_configs as usize).sum()
 }
 
+/// Whether a pass of `work` config evaluations on `threads` threads runs
+/// inline on the caller's thread and [`Scratch`], spawning nothing: always
+/// on one thread, however large the work, and below [`PARALLEL_MIN_WORK`]
+/// on more.
+fn runs_inline(work: usize, threads: usize) -> bool {
+    threads == 1 || work < PARALLEL_MIN_WORK
+}
+
 /// Everything one gate's selection reads, shared by every worker.
 struct Pass<'a> {
     compiled: &'a CompiledCircuit,
@@ -359,7 +367,7 @@ impl Pass<'_> {
     fn explore(&self, scratch: &mut Scratch) -> Result<Vec<usize>, Interrupted> {
         let mut choices = vec![0usize; self.compiled.gates().len()];
         let threads = self.options.threads;
-        if threads == 1 || exploration_work(self.compiled) < PARALLEL_MIN_WORK {
+        if runs_inline(exploration_work(self.compiled), threads) {
             self.select_range(0, &mut choices, scratch)?;
             return Ok(choices);
         }
@@ -518,7 +526,7 @@ mod tests {
             let stats = Scenario::a().input_stats(c.primary_inputs().len(), 8);
             let net_stats = propagate(c, &lib, &stats);
             let compiled = CompiledCircuit::compile(c, &lib).unwrap();
-            if exploration_work(&compiled) >= PARALLEL_MIN_WORK {
+            if !runs_inline(exploration_work(&compiled), 4) {
                 pooled += 1;
             }
             for bound in [
@@ -552,6 +560,46 @@ mod tests {
             }
         }
         assert!(pooled > 0, "some suite circuit must exercise the pool");
+    }
+
+    /// The delay-bounded passes check the governor once per gate, inline
+    /// and pooled: a work budget smaller than the gate count always
+    /// interrupts them, and a rerun without the governor (same scratch)
+    /// matches a never-governed run.
+    #[test]
+    fn bounded_passes_stop_at_a_tripped_governor() {
+        let (lib, model, timing) = setup();
+        let c = generators::array_multiplier(8, &lib);
+        let stats = Scenario::a().input_stats(c.primary_inputs().len(), 4);
+        let net_stats = propagate(&c, &lib, &stats);
+        let gates = c.gates().len() as u64;
+        for bound in [Bound::Local(&timing), Bound::Slack(&timing)] {
+            for threads in [1, 4] {
+                let options = OptimizeOptions {
+                    bound,
+                    threads,
+                    ..OptimizeOptions::default()
+                };
+                let mut scratch = Scratch::new();
+                let reference =
+                    optimize_with(&c, &lib, &model, &net_stats, &options, &mut scratch).unwrap();
+                for trip in [0, gates / 2, gates - 1] {
+                    let what = format!("{bound:?} threads={threads} trip={trip}");
+                    let governor = Governor::with_trip_after(trip);
+                    let governed = OptimizeOptions {
+                        governor: Some(&governor),
+                        ..options
+                    };
+                    let err = optimize_with(&c, &lib, &model, &net_stats, &governed, &mut scratch)
+                        .expect_err(&what);
+                    assert_eq!(err.phase, "optimize", "{what}");
+                    let rerun = optimize_with(&c, &lib, &model, &net_stats, &options, &mut scratch)
+                        .unwrap();
+                    assert_eq!(rerun.circuit, reference.circuit, "{what}");
+                    assert_eq!(rerun.power_after, reference.power_after, "{what}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -658,14 +706,16 @@ mod tests {
         let rca16 = generators::ripple_carry_adder(16, &lib);
         let rca_work = exploration_work(&CompiledCircuit::compile(&rca16, &lib).unwrap());
         assert!(
-            rca_work < PARALLEL_MIN_WORK,
+            runs_inline(rca_work, 4),
             "rca16 ({rca_work} config evals) must stay inline"
         );
+        // One thread never uses the pool, however big the work.
+        assert!(runs_inline(usize::MAX, 1));
         // A large multiplier clears the threshold and keeps the pool.
         let mult8 = generators::array_multiplier(8, &lib);
         let mult_work = exploration_work(&CompiledCircuit::compile(&mult8, &lib).unwrap());
         assert!(
-            mult_work >= PARALLEL_MIN_WORK,
+            !runs_inline(mult_work, 4),
             "mult8 ({mult_work} config evals) should use the pool"
         );
     }
