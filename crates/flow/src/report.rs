@@ -210,8 +210,10 @@ pub struct FlowReport {
     pub repropagations: usize,
     /// `|stale − fresh|` final model power (W): the measured error of
     /// reporting the optimized circuit under pre-optimization
-    /// statistics. Present whenever a freshness check ran; ≈0 for the
-    /// paper's config-only moves (the §4.2 lemma, verified per run).
+    /// statistics. Present whenever a freshness check ran: measured per
+    /// run by fixed-point flows (≈0 for the paper's config-only moves,
+    /// the §4.2 lemma), and exactly 0 for single-pass exact-backend
+    /// flows, whose reordering-only moves re-derive no statistic.
     pub stale_power_discrepancy_w: Option<f64>,
     /// Model-power outcome.
     pub power: PowerReport,
