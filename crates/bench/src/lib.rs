@@ -21,10 +21,10 @@
 #![forbid(unsafe_code)]
 
 use tr_boolean::SignalStats;
-use tr_flow::json::{json_f64, json_string};
 use tr_flow::{DurationPolicy, Flow, SimOptions};
 use tr_netlist::Circuit;
 use tr_power::scenario::Scenario;
+use tr_trace::json::{json_f64, json_string};
 
 /// Everything the experiments need, constructed once. The historical
 /// name of [`tr_flow::FlowEnv`] — same fields, same construction.
@@ -53,7 +53,7 @@ pub struct Table3Row {
 impl Table3Row {
     /// Serializes the row as a JSON object (no external serializer in the
     /// offline build environment, so this is hand-rolled via
-    /// [`tr_flow::json`]).
+    /// [`tr_trace::json`]).
     pub fn to_json(&self) -> String {
         format!(
             concat!(

@@ -706,13 +706,17 @@ impl Flow {
             tr_trace::set_thread_name("flow-main");
             TraceOff
         });
-        // 1. Load: read, parse, technology-map.
+        // 1. Load: read, parse, technology-map. A file's parser
+        // (`.trnet`) or the mapper (`.bench`/`.blif`) validates what it
+        // returns, so only an in-memory circuit is checked here.
         let t = Instant::now();
         let circuit = {
             let _s = tr_trace::span!("flow.load");
             let circuit = self.source.load(&env.library, &self.map_options)?;
-            let _v = tr_trace::span!("load.validate", gates = circuit.gates().len());
-            circuit.validate(&env.library)?;
+            if let Source::Circuit(_) = self.source {
+                let _v = tr_trace::span!("load.validate", gates = circuit.gates().len());
+                circuit.validate(&env.library)?;
+            }
             circuit
         };
         let load_s = t.elapsed().as_secs_f64();

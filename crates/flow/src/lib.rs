@@ -50,7 +50,6 @@ mod error;
 pub mod faultpoint;
 mod flow;
 pub mod govern;
-pub mod json;
 mod report;
 mod source;
 

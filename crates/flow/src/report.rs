@@ -9,12 +9,13 @@
 //! Unit conventions, encoded in the field names: `_w` watts, `_s`
 //! seconds, `_percent` percent.
 
-use crate::json::{json_f64, json_opt_f64, json_opt_string, json_string};
+use tr_trace::json::{json_f64, json_opt_f64, json_opt_string, json_string};
 
 /// One step down the degradation ladder, in the order the rungs were
 /// hit. `degrade_rung` keeps only the deepest rung; this array is the
 /// full history — which budgets tripped, in which pipeline phase, and
-/// when.
+/// when. The JSON report keeps the wall-clock part with the other
+/// timings: each event's `elapsed_ms` is an entry of `timings.degrade_ms`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DegradeEvent {
     /// The rung taken (`shrink-regions`, `info-reorder-retry`,
@@ -266,10 +267,9 @@ impl FlowReport {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"rung\":{},\"phase\":{},\"elapsed_ms\":{}}}",
+                "{{\"rung\":{},\"phase\":{}}}",
                 json_string(&e.rung),
                 json_string(&e.phase),
-                json_f64(e.elapsed_ms),
             ));
         }
         out.push_str("],");
@@ -363,7 +363,7 @@ impl FlowReport {
         ));
         out.push_str(&format!(
             "\"timings\":{{\"load_s\":{},\"stats_s\":{},\"optimize_s\":{},\"timing_s\":{},\
-             \"sim_s\":{},\"write_s\":{},\"total_s\":{}}}",
+             \"sim_s\":{},\"write_s\":{},\"total_s\":{},\"degrade_ms\":[",
             json_f64(self.timings.load_s),
             json_f64(self.timings.stats_s),
             json_f64(self.timings.optimize_s),
@@ -372,7 +372,13 @@ impl FlowReport {
             json_f64(self.timings.write_s),
             json_f64(self.timings.total_s),
         ));
-        out.push('}');
+        for (i, e) in self.degrade_events.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&json_f64(e.elapsed_ms));
+        }
+        out.push_str("]}}");
         out
     }
 

@@ -12,7 +12,7 @@ use tr_flow::{
     ScenarioSpec,
 };
 use tr_reorder::Objective;
-use tr_trace::summary::{parse, Json};
+use tr_trace::json::{parse, Json};
 
 use crate::cache::content_key;
 

@@ -8,11 +8,15 @@
 //! body, clamps the requested budgets against the server caps, then
 //! either *rehydrates* a warm-cache entry (skipping parse, map,
 //! compile and BDD build) or runs the cold path and snapshots the
-//! staged artifacts for next time. Shutdown — [`ServerHandle::shutdown`]
-//! or SIGTERM — stops the accept loop and lets the workers finish
-//! everything already queued or in flight before `run` returns.
+//! staged artifacts for next time. Each stage a request runs is timed:
+//! the response names them in a `Server-Timing` header and `/metrics`
+//! keeps a `serve.stage.<name>_us` histogram per stage. Shutdown —
+//! [`ServerHandle::shutdown`] or SIGTERM — stops the accept loop and
+//! lets the workers finish everything already queued or in flight
+//! before `run` returns.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -21,11 +25,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tr_flow::json::{json_f64, json_opt_f64, json_string};
 use tr_flow::{parse_netlist, BatchJob, BatchRunner, Error, Flow, FlowEnv, RunBudget, StatsStage};
 use tr_netlist::Circuit;
 use tr_power::{circuit_power, Scratch};
 use tr_timing::critical_path_delay;
+use tr_trace::json::{json_f64, json_opt_f64, json_string};
 use tr_trace::metrics;
 
 use crate::cache::{content_key, WarmCache};
@@ -439,25 +443,33 @@ fn handle_optimize(
     scratch: &mut Scratch,
     analyze_only: bool,
 ) -> io::Result<()> {
-    let Ok(body) = std::str::from_utf8(&req.body) else {
-        return reject(out, 400, "request body must be UTF-8 JSON");
-    };
-    let preq = match parse_optimize(body) {
+    let mut stages = Stages::default();
+    // Decode runs before the request's governor exists: it is linear,
+    // and the body cap bounds it.
+    let decoded = stages.time("decode", || match std::str::from_utf8(&req.body) {
+        Ok(body) => parse_optimize(body).map_err(|e| (error_status(&e), e.to_string())),
+        Err(_) => Err((400, "request body must be UTF-8 JSON".to_string())),
+    });
+    let preq = match decoded {
         Ok(p) => p,
-        Err(e) => return reject(out, error_status(&e), &e.to_string()),
+        Err((status, msg)) => {
+            stages.record();
+            return reject(out, status, &msg);
+        }
     };
     // Panic fence: one poisoned request answers 500, the worker lives
     // on (with a rebuilt scratch arena — the unwound stage may have
     // left it mid-update).
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        run_optimize(shared, &preq, scratch, analyze_only)
+        run_optimize(shared, &preq, scratch, analyze_only, &mut stages)
     }));
+    let timing = stages.record();
     match outcome {
         Ok(Ok((json, cache_state))) => http::write_response(
             out,
             200,
             "application/json",
-            &[("X-Cache", cache_state)],
+            &[("X-Cache", cache_state), ("Server-Timing", &timing)],
             json.as_bytes(),
         ),
         Ok(Err(e)) => reject(out, error_status(&e), &e.to_string()),
@@ -473,31 +485,76 @@ fn handle_optimize(
     }
 }
 
+/// Wall time of each stage one request ran, in order.
+#[derive(Default)]
+struct Stages(Vec<(&'static str, Duration)>);
+
+impl Stages {
+    /// Runs `f` as stage `name`.
+    fn time<T>(&mut self, name: &'static str, f: impl FnOnce() -> T) -> T {
+        let t = Instant::now();
+        let out = f();
+        self.0.push((name, t.elapsed()));
+        out
+    }
+
+    /// Records every stage in its `serve.stage.<name>_us` histogram and
+    /// returns the `Server-Timing` header value (`name;dur=<ms>`, in
+    /// the order the stages ran).
+    fn record(&self) -> String {
+        let mut header = String::new();
+        for (i, (name, d)) in self.0.iter().enumerate() {
+            metrics::histogram(&format!("serve.stage.{name}_us")).record(d.as_micros() as u64);
+            if i > 0 {
+                header.push_str(", ");
+            }
+            let _ = write!(header, "{name};dur={:.3}", d.as_secs_f64() * 1e3);
+        }
+        header
+    }
+}
+
 /// The warm/cold core shared by `/optimize` and `/analyze`. Returns the
-/// response JSON plus the `X-Cache` verdict.
+/// response JSON plus the `X-Cache` verdict. Every request runs the
+/// `key` and `lookup` stages; a memoized replay stops there, a warm hit
+/// adds `rehydrate`, `optimize` and `render`, and a miss adds `load`,
+/// `stats`, `snapshot`, `optimize` and `render`.
 fn run_optimize(
     shared: &Shared,
     preq: &OptimizeRequest,
     scratch: &mut Scratch,
     analyze_only: bool,
+    stages: &mut Stages,
 ) -> Result<(String, &'static str), Error> {
     let env = &shared.env;
     let (budget, threads) = clamp(&preq.knobs, &shared.config);
     let flow = request_flow(preq, budget, threads);
-    let key = preq.cache_key(&shared.library_fingerprint);
-    let rkey = result_key(preq, &shared.config, threads, analyze_only);
+    let (key, rkey) = stages.time("key", || {
+        (
+            preq.cache_key(&shared.library_fingerprint),
+            result_key(preq, &shared.config, threads, analyze_only),
+        )
+    });
+    let found = stages.time("lookup", || {
+        shared.cache.get(key).map(|entry| {
+            let memo = entry.result(rkey);
+            (entry, memo)
+        })
+    });
 
-    if let Some(entry) = shared.cache.get(key) {
+    if let Some((entry, memo)) = found {
         // Warmest: the exact same request ran before and its response
         // is memoized on the entry — replay it without even touching
         // the optimizer. (Timings are the original run's; the response
         // is otherwise deterministic, so byte-replay is exact.)
-        if let Some(json) = entry.result(rkey) {
+        if let Some(json) = memo {
             return Ok((json.as_ref().clone(), "hit"));
         }
         // Warm: rehydrate clones the snapshot's propagator and attaches
         // this request's governor — no parse, no map, no BDD build.
-        let stage = flow.rehydrate(env, &entry.circuit, &entry.snapshot)?;
+        let stage = stages.time("rehydrate", || {
+            flow.rehydrate(env, &entry.circuit, &entry.snapshot)
+        })?;
         let (json, degraded) = finish(
             &flow,
             env,
@@ -507,6 +564,7 @@ fn run_optimize(
             stage,
             scratch,
             analyze_only,
+            stages,
         )?;
         if !degraded {
             entry.memoize(rkey, &json);
@@ -515,25 +573,27 @@ fn run_optimize(
     }
 
     // Cold: full load + stage 2, then snapshot the staged artifacts
-    // before optimization mutates the propagator's counters.
+    // before optimization mutates the propagator's counters. The parser
+    // (`.trnet`) or the mapper (`.bench`/`.blif`) has already validated
+    // the circuit it returns.
     let t = Instant::now();
-    let circuit = {
+    let circuit = stages.time("load", || {
         let _s = tr_trace::span!("serve.load", name = preq.name.as_str());
-        let circuit = parse_netlist(
+        parse_netlist(
             &preq.name,
             &preq.netlist,
             preq.format,
             &env.library,
             &Default::default(),
-        )?;
-        circuit.validate(&env.library)?;
-        circuit
-    };
+        )
+    })?;
     let load_s = t.elapsed().as_secs_f64();
-    let stage = flow.prepare_stats(env, &circuit)?;
-    let entry = stage
-        .snapshot()
-        .map(|snapshot| shared.cache.insert(key, circuit.clone(), snapshot));
+    let stage = stages.time("stats", || flow.prepare_stats(env, &circuit))?;
+    let entry = stages.time("snapshot", || {
+        stage
+            .snapshot()
+            .map(|snapshot| shared.cache.insert(key, circuit.clone(), snapshot))
+    });
     let (json, degraded) = finish(
         &flow,
         env,
@@ -543,6 +603,7 @@ fn run_optimize(
         stage,
         scratch,
         analyze_only,
+        stages,
     )?;
     if let (Some(entry), false) = (entry, degraded) {
         entry.memoize(rkey, &json);
@@ -582,8 +643,9 @@ fn result_key(
     ])
 }
 
-/// Stages 3–7 (optimize) or the read-only summary (analyze). Returns
-/// the response JSON plus whether the run degraded (degraded responses
+/// Stages 3–7 (optimize) or the read-only summary (analyze), timed as
+/// the `optimize` stage, then the response JSON, timed as `render`.
+/// Returns the JSON plus whether the run degraded (degraded responses
 /// must not be memoized).
 #[allow(clippy::too_many_arguments)]
 fn finish(
@@ -595,32 +657,41 @@ fn finish(
     stage: StatsStage,
     scratch: &mut Scratch,
     analyze_only: bool,
+    stages: &mut Stages,
 ) -> Result<(String, bool), Error> {
     if analyze_only {
-        let power = circuit_power(circuit, &env.model, stage.net_stats());
-        let delay = critical_path_delay(circuit, &env.timing);
+        let (power, delay, depth) = stages.time("optimize", || {
+            (
+                circuit_power(circuit, &env.model, stage.net_stats()),
+                critical_path_delay(circuit, &env.timing),
+                circuit.logic_depth(),
+            )
+        });
         let degraded = stage.degraded();
-        return Ok((
+        let json = stages.time("render", || {
             format!(
                 "{{\"circuit\": {}, \"scenario\": {}, \"gates\": {}, \"inputs\": {}, \
-             \"depth\": {}, \"prob_mode\": {}, \"power_w\": {}, \"critical_path_s\": {}, \
-             \"independence_error\": {}, \"degraded\": {}}}",
+                 \"depth\": {}, \"prob_mode\": {}, \"power_w\": {}, \"critical_path_s\": {}, \
+                 \"independence_error\": {}, \"degraded\": {}}}",
                 json_string(&preq.name),
                 json_string(&preq.scenario.label),
                 circuit.gates().len(),
                 circuit.primary_inputs().len(),
-                circuit.logic_depth(),
+                depth,
                 json_string(stage.prob_mode().as_str()),
                 json_f64(power.total),
                 json_f64(delay),
                 json_opt_f64(stage.independence_error()),
                 degraded
-            ),
-            degraded,
-        ));
+            )
+        });
+        return Ok((json, degraded));
     }
-    let (report, _) = flow.run_staged(env, circuit, preq.name.clone(), load_s, stage, scratch)?;
-    Ok((report.to_json(), report.degraded))
+    let (report, _) = stages.time("optimize", || {
+        flow.run_staged(env, circuit, preq.name.clone(), load_s, stage, scratch)
+    })?;
+    let json = stages.time("render", || report.to_json());
+    Ok((json, report.degraded))
 }
 
 fn handle_batch(shared: &Shared, req: &Request, out: &mut TcpStream) -> io::Result<()> {
@@ -636,8 +707,9 @@ fn handle_batch(shared: &Shared, req: &Request, out: &mut TcpStream) -> io::Resu
         scenarios,
         knobs,
     } = preq;
-    // Parse every netlist before the first response byte: a bad input
-    // still gets a clean 400 instead of a truncated stream.
+    // Parse (and so validate) every netlist before the first response
+    // byte: a bad input still gets a clean 400 instead of a truncated
+    // stream.
     let mut jobs = Vec::with_capacity(circuits.len());
     for (name, netlist, format) in &circuits {
         let circuit = match parse_netlist(
@@ -646,11 +718,7 @@ fn handle_batch(shared: &Shared, req: &Request, out: &mut TcpStream) -> io::Resu
             *format,
             &shared.env.library,
             &Default::default(),
-        )
-        .and_then(|c| {
-            c.validate(&shared.env.library)?;
-            Ok(c)
-        }) {
+        ) {
             Ok(c) => c,
             Err(e) => return reject(out, error_status(&e), &format!("circuit `{name}`: {e}")),
         };

@@ -8,10 +8,10 @@ use std::net::{SocketAddr, TcpStream};
 use std::thread::JoinHandle;
 
 use proptest::prelude::*;
-use tr_flow::json::json_string;
 use tr_flow::ScenarioSpec;
 use tr_flow::{parse_netlist, parse_prob_mode, Flow, FlowEnv, NetlistFormat, OrderHeuristic};
 use tr_serve::http;
+use tr_trace::json::json_string;
 
 const TOY: &str = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nn1 = AND(a, b)\ny = NOT(n1)\n";
 
@@ -117,6 +117,75 @@ fn healthz_and_metrics_respond() {
     join.join().unwrap().unwrap();
 }
 
+/// The stage names of a `Server-Timing` header, each with a
+/// non-negative duration.
+fn stage_names(resp: &http::Response) -> Vec<String> {
+    let header = resp.header("server-timing").expect("Server-Timing header");
+    header
+        .split(", ")
+        .map(|stage| {
+            let (name, dur) = stage.split_once(";dur=").expect("name;dur=<ms>");
+            assert!(dur.parse::<f64>().unwrap() >= 0.0, "{header}");
+            name.to_string()
+        })
+        .collect()
+}
+
+/// Each answer names the stages it ran: a miss loads and snapshots, a
+/// warm hit rehydrates, a memoized replay stops at the lookup with the
+/// same body; every stage lands in a `/metrics` histogram.
+#[test]
+fn server_timing_names_the_stages_each_request_ran() {
+    let (handle, join, addr) = spawn(cfg());
+    let body = optimize_body("toy", TOY, "\"prob\": \"bdd\", \"scenario\": \"a:11\"");
+    let cold = post(addr, "/optimize", &body);
+    assert_eq!(cold.header("x-cache"), Some("miss"));
+    assert_eq!(
+        stage_names(&cold),
+        ["decode", "key", "lookup", "load", "stats", "snapshot", "optimize", "render"]
+    );
+    let memo = post(addr, "/optimize", &body);
+    assert_eq!(memo.header("x-cache"), Some("hit"));
+    assert_eq!(stage_names(&memo), ["decode", "key", "lookup"]);
+    assert_eq!(memo.body, cold.body, "a memoized replay is byte-identical");
+
+    let other_objective = optimize_body(
+        "toy",
+        TOY,
+        "\"prob\": \"bdd\", \"scenario\": \"a:11\", \"objective\": \"max\"",
+    );
+    let warm = post(addr, "/optimize", &other_objective);
+    assert_eq!(warm.header("x-cache"), Some("hit"));
+    assert_eq!(
+        stage_names(&warm),
+        ["decode", "key", "lookup", "rehydrate", "optimize", "render"]
+    );
+    let analyze = post(addr, "/analyze", &body);
+    assert_eq!(analyze.status, 200);
+    assert_eq!(
+        stage_names(&analyze),
+        ["decode", "key", "lookup", "rehydrate", "optimize", "render"]
+    );
+
+    let text = get(addr, "/metrics").text().into_owned();
+    for stage in [
+        "decode",
+        "key",
+        "lookup",
+        "load",
+        "stats",
+        "snapshot",
+        "rehydrate",
+        "optimize",
+        "render",
+    ] {
+        let name = format!("serve_stage_{stage}_us_count");
+        assert!(text.contains(&name), "missing `{name}` in:\n{text}");
+    }
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
 /// Satellite: requests differing only in scenario seed, scenario kind,
 /// backend, backend knobs, or order heuristic must not alias in the
 /// cache; a one-byte netlist edit must miss.
@@ -206,6 +275,13 @@ fn artifact_fields_are_http_400() {
     // Unknown endpoint and bad JSON are also typed, not hangs.
     assert_eq!(post(addr, "/frobnicate", "{}").status, 404);
     assert_eq!(post(addr, "/optimize", "not json").status, 400);
+    // A body nested deep enough to overflow a recursive decoder's stack
+    // is a 400 too, and the daemon keeps serving.
+    let deep = format!("{{\"netlist\": {}}}", "[".repeat(100_000));
+    let resp = post(addr, "/optimize", &deep);
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(resp.text().contains("nesting deeper"), "{}", resp.text());
+    assert_eq!(get(addr, "/healthz").status, 200);
     handle.shutdown();
     join.join().unwrap().unwrap();
 }
@@ -230,7 +306,7 @@ fn batch_streams_one_jsonl_line_per_cell() {
     let lines: Vec<&str> = text.lines().filter(|l| !l.is_empty()).collect();
     assert_eq!(lines.len(), 4, "2 circuits × 2 scenarios:\n{text}");
     for line in &lines {
-        let parsed = tr_trace::summary::parse(line).expect("each line is standalone JSON");
+        let parsed = tr_trace::json::parse(line).expect("each line is standalone JSON");
         assert!(
             parsed.get("circuit").is_some(),
             "not a FlowReport line: {line}"

@@ -11,9 +11,13 @@
 //! * a **metrics registry** ([`metrics`]) — named atomic counters, gauges,
 //!   and log₂-bucketed latency histograms with quantile extraction, designed
 //!   to back a future `tr-serve` `/metrics` endpoint;
-//! * an **offline analyzer** ([`summary`]) — a minimal JSON parser plus a
-//!   folder that turns a trace file into a per-span-name self-profile
-//!   (count, total, mean, p99) and validates its shape.
+//! * an **offline analyzer** ([`summary`]) — a folder that turns a trace
+//!   file into a per-span-name self-profile (count, total, mean, p99) and
+//!   validates its shape.
+//!
+//! Under all three sits the workspace's one JSON codec ([`json`]): the
+//! parser the analyzer and `tr-serve`'s request decoder read with, and
+//! the string/number writers every report, trace and response uses.
 //!
 //! # Cost model
 //!
@@ -28,6 +32,7 @@
 //! [Chrome trace-event JSON]:
 //!     https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
+pub mod json;
 pub mod metrics;
 pub mod summary;
 
@@ -336,37 +341,13 @@ macro_rules! instant {
     };
 }
 
-/// Escapes a string for inclusion in a JSON string literal (shared by the
-/// trace writer and the metrics renderer; `tr-trace` sits below `tr-flow`
-/// so it cannot reuse the flow JSON helpers).
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn write_arg_value(out: &mut String, v: &ArgValue) {
     match v {
         ArgValue::U64(n) => out.push_str(&n.to_string()),
         ArgValue::I64(n) => out.push_str(&n.to_string()),
-        ArgValue::F64(x) if x.is_finite() => out.push_str(&format!("{x}")),
-        ArgValue::F64(_) => out.push_str("null"),
+        ArgValue::F64(x) => out.push_str(&json::json_f64(*x)),
         ArgValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        ArgValue::Str(s) => {
-            out.push('"');
-            out.push_str(&escape_json(s));
-            out.push('"');
-        }
+        ArgValue::Str(s) => json::push_string(out, s),
     }
 }
 
@@ -404,22 +385,21 @@ pub fn chrome_trace_json() -> String {
         }
         first = false;
         out.push_str(&format!(
-            "\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            escape_json(name)
+            "\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":"
         ));
+        json::push_string(&mut out, name);
+        out.push_str("}}");
     }
     for ev in &events {
         if !first {
             out.push(',');
         }
         first = false;
+        out.push_str("\n{\"name\":");
+        json::push_string(&mut out, &ev.name);
         out.push_str(&format!(
-            "\n{{\"name\":\"{}\",\"ph\":\"{}\",\"pid\":1,\"tid\":{},\"ts\":{}",
-            escape_json(&ev.name),
-            ev.ph,
-            ev.tid,
-            ev.ts_us
+            ",\"ph\":\"{}\",\"pid\":1,\"tid\":{},\"ts\":{}",
+            ev.ph, ev.tid, ev.ts_us
         ));
         if ev.ph == 'C' {
             out.push_str(",\"args\":{\"value\":");
@@ -431,9 +411,8 @@ pub fn chrome_trace_json() -> String {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push('"');
-                out.push_str(&escape_json(k));
-                out.push_str("\":");
+                json::push_string(&mut out, k);
+                out.push(':');
                 write_arg_value(&mut out, v);
             }
             out.push('}');
@@ -460,12 +439,6 @@ mod tests {
         assert_eq!(ArgValue::from(0.5f64), ArgValue::F64(0.5));
         assert_eq!(ArgValue::from("x"), ArgValue::Str("x".to_string()));
         assert_eq!(ArgValue::from(true), ArgValue::Bool(true));
-    }
-
-    #[test]
-    fn escape_json_handles_specials() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
     }
 
     #[cfg(not(feature = "trace"))]

@@ -6,7 +6,8 @@
 //! one `#[test]` (integration tests share a process).
 #![cfg(feature = "trace")]
 
-use tr_trace::summary::{fold, parse, Json};
+use tr_trace::json::{parse, Json};
+use tr_trace::summary::fold;
 
 #[test]
 fn chrome_trace_shape() {

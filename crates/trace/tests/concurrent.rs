@@ -8,7 +8,8 @@
 #![cfg(feature = "trace")]
 
 use proptest::prelude::*;
-use tr_trace::summary::{fold, Json};
+use tr_trace::json::Json;
+use tr_trace::summary::fold;
 
 fn worker(id: usize, spans: usize, depth: usize) {
     tr_trace::set_thread_name(&format!("worker-{id}"));
@@ -55,7 +56,7 @@ proptest! {
         // Each worker's spans sit on its own tid: as many distinct tids carry
         // "work" B events as there were threads, and each tid carries exactly
         // `spans` of them.
-        let root = tr_trace::summary::parse(&json).unwrap();
+        let root = tr_trace::json::parse(&json).unwrap();
         let events = root.get("traceEvents").and_then(Json::as_arr).unwrap();
         let mut per_tid: std::collections::BTreeMap<u64, u64> = Default::default();
         for e in events {

@@ -1,10 +1,11 @@
 //! Round trip of the JSON string decoder: any text, written by an encoder
 //! that picks per character between the raw form and every escape JSON
 //! allows (short escapes, `\uXXXX`, UTF-16 surrogate pairs for
-//! supplementary characters), decodes back to itself.
+//! supplementary characters), decodes back to itself; and so does any
+//! text written by the codec's own writer.
 
 use proptest::prelude::*;
-use tr_trace::summary::{parse, Json};
+use tr_trace::json::{json_string, parse, Json};
 
 /// Characters the strings draw from: ASCII, the two characters JSON must
 /// escape, control characters, and 2-, 3- and 4-byte UTF-8 text.
@@ -85,6 +86,15 @@ proptest! {
         }
         doc.push_str("\"]");
         prop_assert_eq!(parse(&doc), Ok(Json::Arr(vec![Json::Str(text)])), "{}", doc);
+    }
+
+    #[test]
+    fn written_strings_parse_back(
+        picks in prop::collection::vec(0usize..PALETTE.len(), 0..64),
+    ) {
+        let text: String = picks.iter().map(|&i| PALETTE[i]).collect();
+        let doc = json_string(&text);
+        prop_assert_eq!(parse(&doc), Ok(Json::Str(text)), "{}", doc);
     }
 }
 
