@@ -40,9 +40,12 @@ impl std::error::Error for ParseError {}
 /// # Errors
 ///
 /// Returns a [`ParseError`] on malformed lines, unknown operators
-/// (including sequential elements), or empty operand lists.
+/// (including sequential elements), empty operand lists, or a
+/// combinational cycle (reported at the definition of a signal on it).
 pub fn parse(name: &str, text: &str) -> Result<GenericCircuit, ParseError> {
     let mut circuit = GenericCircuit::new(name);
+    // Line of every gate definition, for the cycle report.
+    let mut gate_lines = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim();
         let lineno = lineno + 1;
@@ -97,6 +100,17 @@ pub fn parse(name: &str, text: &str) -> Result<GenericCircuit, ParseError> {
             });
         }
         circuit.add_gate(lhs, op, &args);
+        gate_lines.push(lineno);
+    }
+    if let Err(cycle) = circuit.topological_order() {
+        let g = cycle[0];
+        return Err(ParseError {
+            line: gate_lines[g],
+            message: format!(
+                "combinational cycle through signal `{}`",
+                circuit.signal_name(circuit.gates()[g].output)
+            ),
+        });
     }
     Ok(circuit)
 }
@@ -201,6 +215,22 @@ mod tests {
         assert!(parse("bad", "x = NAND a, b\n").is_err());
         assert!(parse("bad", "x = NAND()\n").is_err());
         assert!(parse("bad", "x = NOT(a, b)\n").is_err());
+    }
+
+    #[test]
+    fn rejects_a_combinational_cycle_naming_a_signal_on_it() {
+        let text = "INPUT(a)\nOUTPUT(x)\nw = NOT(a)\nx = AND(a, y)\ny = NOT(x)\n";
+        let err = parse("cyc", text).unwrap_err();
+        assert!(err.message.contains("combinational cycle"), "{err}");
+        let named = ["x", "y"]
+            .into_iter()
+            .find(|s| err.message.contains(&format!("`{s}`")))
+            .expect("names a signal on the cycle");
+        let defined_on = if named == "x" { 4 } else { 5 };
+        assert_eq!(err.line, defined_on, "{err}");
+        // A self-loop is a cycle too.
+        let err = parse("self", "INPUT(a)\nOUTPUT(z)\nz = OR(a, z)\n").unwrap_err();
+        assert_eq!((err.line, err.message.contains("`z`")), (3, true), "{err}");
     }
 
     #[test]

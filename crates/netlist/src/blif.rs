@@ -45,7 +45,8 @@ struct NamesTable {
 /// # Errors
 ///
 /// Returns [`BlifError`] on sequential/hierarchical constructs, malformed
-/// tables, or inconsistent output phases within one table.
+/// tables, inconsistent output phases within one table, or a
+/// combinational cycle (reported at the table of a signal on it).
 pub fn parse(text: &str) -> Result<GenericCircuit, BlifError> {
     let mut name = "blif".to_string();
     let mut inputs: Vec<String> = Vec::new();
@@ -209,8 +210,32 @@ pub fn parse(text: &str) -> Result<GenericCircuit, BlifError> {
     for i in &inputs {
         circuit.add_input(i);
     }
+    // The gate that drives each table's output, with the table's line.
+    let mut table_gates: Vec<(usize, usize)> = Vec::with_capacity(tables.len());
     for t in &tables {
         lower_table(&mut circuit, t)?;
+        table_gates.push((circuit.gates().len() - 1, t.line));
+    }
+    if let Err(cycle) = circuit.topological_order() {
+        // Every cycle passes through some table's output gate: the other
+        // gates of a table feed only that table, and an inverted literal
+        // reads a table output or a primary input.
+        let mut on_cycle = vec![false; circuit.gates().len()];
+        for &g in &cycle {
+            on_cycle[g] = true;
+        }
+        let (gate, line) = table_gates
+            .iter()
+            .copied()
+            .find(|&(g, _)| on_cycle[g])
+            .unwrap_or((cycle[0], 0));
+        return Err(BlifError {
+            line,
+            message: format!(
+                "combinational cycle through signal `{}`",
+                circuit.signal_name(circuit.gates()[gate].output)
+            ),
+        });
     }
     for o in &outputs {
         circuit.add_output(o);
@@ -396,6 +421,21 @@ mod tests {
             let got: Vec<bool> = mapped.primary_outputs().iter().map(|o| nets[o.0]).collect();
             assert_eq!(got, generic.evaluate_outputs(&v), "{m:03b}");
         }
+    }
+
+    #[test]
+    fn rejects_a_combinational_cycle_naming_a_signal_on_it() {
+        // x = a·y, y = x̄: the cycle runs through both tables (and the
+        // shared inverter of x).
+        let text = ".model cyc\n.inputs a\n.outputs x\n\
+                    .names a y x\n11 1\n.names x y\n0 1\n.end\n";
+        let err = parse(text).unwrap_err();
+        assert!(err.message.contains("combinational cycle"), "{err}");
+        assert!(
+            (err.message.contains("`x`") && err.line == 4)
+                || (err.message.contains("`y`") && err.line == 6),
+            "{err}"
+        );
     }
 
     #[test]

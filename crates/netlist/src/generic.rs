@@ -213,17 +213,18 @@ impl GenericCircuit {
 
     /// Gates in dependency order.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a combinational cycle.
-    pub fn topological_order(&self) -> Vec<usize> {
-        let driver: HashMap<usize, usize> = self
-            .gates
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (g.output, i))
-            .collect();
-        let mut state = vec![0u8; self.gates.len()];
+    /// On a combinational cycle, returns the indices of the gates on one,
+    /// each driving an input of the one before it.
+    pub fn topological_order(&self) -> Result<Vec<usize>, Vec<usize>> {
+        // Driver of every signal; on a doubly driven signal the last gate
+        // wins.
+        let mut driver: Vec<Option<usize>> = vec![None; self.signal_count()];
+        for (i, g) in self.gates.iter().enumerate() {
+            driver[g.output] = Some(i);
+        }
+        let mut state = vec![0u8; self.gates.len()]; // 0 new, 1 open, 2 done
         let mut order = Vec::with_capacity(self.gates.len());
         for root in 0..self.gates.len() {
             if state[root] != 0 {
@@ -235,13 +236,18 @@ impl GenericCircuit {
                 if *next < self.gates[g].inputs.len() {
                     let sig = self.gates[g].inputs[*next];
                     *next += 1;
-                    if let Some(&dep) = driver.get(&sig) {
+                    if let Some(dep) = driver[sig] {
                         match state[dep] {
                             0 => {
                                 state[dep] = 1;
                                 stack.push((dep, 0));
                             }
-                            1 => panic!("combinational cycle in generic circuit"),
+                            // `dep` is open on the stack: it reaches itself.
+                            1 => {
+                                let at = stack.iter().position(|&(o, _)| o == dep);
+                                let at = at.expect("open gates are on the stack");
+                                return Err(stack[at..].iter().map(|&(o, _)| o).collect());
+                            }
                             _ => {}
                         }
                     }
@@ -252,7 +258,7 @@ impl GenericCircuit {
                 }
             }
         }
-        order
+        Ok(order)
     }
 
     /// Evaluates every signal given a primary-input assignment.
@@ -267,7 +273,10 @@ impl GenericCircuit {
         for (i, &input) in self.inputs.iter().enumerate() {
             sig[input] = values[i];
         }
-        for g in self.topological_order() {
+        for g in self
+            .topological_order()
+            .unwrap_or_else(|_| panic!("combinational cycle in generic circuit"))
+        {
             let gate = &self.gates[g];
             let args: Vec<bool> = gate.inputs.iter().map(|&i| sig[i]).collect();
             sig[gate.output] = gate.op.eval(&args);
@@ -342,6 +351,21 @@ mod tests {
         let a2 = c.signal("a");
         assert_eq!(a1, a2);
         assert_eq!(c.signal_count(), 1);
+    }
+
+    #[test]
+    fn topological_order_reports_the_gates_of_a_cycle() {
+        let mut c = GenericCircuit::new("cyc");
+        c.add_input("a");
+        c.add_gate("w", GenericOp::Not, &["a"]);
+        c.add_gate("x", GenericOp::And, &["a", "y"]);
+        c.add_gate("y", GenericOp::Not, &["x"]);
+        c.add_gate("z", GenericOp::Or, &["w", "x"]);
+        let mut cycle = c.topological_order().unwrap_err();
+        cycle.sort_unstable();
+        assert_eq!(cycle, vec![1, 2]);
+        c.add_gate("s", GenericOp::Buff, &["s"]);
+        assert!(c.topological_order().is_err());
     }
 
     #[test]

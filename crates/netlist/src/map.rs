@@ -144,7 +144,11 @@ impl<'a> Mapper<'a> {
             self.realized.insert(node, net);
         }
         // 2. Normalize gates in dependency order.
-        for g in self.generic.topological_order() {
+        for g in self
+            .generic
+            .topological_order()
+            .unwrap_or_else(|_| panic!("combinational cycle in generic circuit"))
+        {
             let gate = self.generic.gates()[g].clone();
             let args: Vec<usize> = gate
                 .inputs

@@ -475,14 +475,19 @@ fn handle_optimize(
         Ok(Err(e)) => reject(out, error_status(&e), &e.to_string()),
         Err(payload) => {
             *scratch = Scratch::new();
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "request panicked".to_string());
-            reject(out, 500, &format!("request panicked: {msg}"))
+            reject(out, 500, &panic_message(payload.as_ref()))
         }
     }
+}
+
+/// The 500 message for a request that panicked inside a fence.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    let msg = payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "request panicked".to_string());
+    format!("request panicked: {msg}")
 }
 
 /// Wall time of each stage one request ran, in order.
@@ -709,21 +714,28 @@ fn handle_batch(shared: &Shared, req: &Request, out: &mut TcpStream) -> io::Resu
     } = preq;
     // Parse (and so validate) every netlist before the first response
     // byte: a bad input still gets a clean 400 instead of a truncated
-    // stream.
-    let mut jobs = Vec::with_capacity(circuits.len());
-    for (name, netlist, format) in &circuits {
-        let circuit = match parse_netlist(
-            name,
-            netlist,
-            *format,
-            &shared.env.library,
-            &Default::default(),
-        ) {
-            Ok(c) => c,
-            Err(e) => return reject(out, error_status(&e), &format!("circuit `{name}`: {e}")),
-        };
-        jobs.push(BatchJob::from_circuit(name.clone(), circuit));
-    }
+    // stream. The /optimize panic fence keeps a netlist that trips the
+    // mapper from taking the worker down with it.
+    let parsed = catch_unwind(AssertUnwindSafe(|| {
+        let mut jobs = Vec::with_capacity(circuits.len());
+        for (name, netlist, format) in &circuits {
+            let circuit = parse_netlist(
+                name,
+                netlist,
+                *format,
+                &shared.env.library,
+                &Default::default(),
+            )
+            .map_err(|e| (error_status(&e), format!("circuit `{name}`: {e}")))?;
+            jobs.push(BatchJob::from_circuit(name.clone(), circuit));
+        }
+        Ok(jobs)
+    }));
+    let jobs = match parsed {
+        Ok(Ok(jobs)) => jobs,
+        Ok(Err((status, msg))) => return reject(out, status, &msg),
+        Err(payload) => return reject(out, 500, &panic_message(payload.as_ref())),
+    };
     let (budget, pool_threads) = clamp(&knobs, &shared.config);
     let dummy = OptimizeRequest {
         name: "template".to_string(),

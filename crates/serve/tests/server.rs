@@ -286,6 +286,45 @@ fn artifact_fields_are_http_400() {
     join.join().unwrap().unwrap();
 }
 
+/// A cyclic netlist is a 400 on both endpoints, and a netlist that
+/// panics the mapper during /batch pre-validation is fenced like one on
+/// /optimize: the single worker lives on to answer /healthz.
+#[test]
+fn bad_netlists_are_answered_and_the_worker_lives() {
+    let (handle, join, addr) = spawn(tr_serve::ServeConfig {
+        threads: 1,
+        ..cfg()
+    });
+    let cyclic = "INPUT(a)\nOUTPUT(x)\nx = AND(a, y)\ny = NOT(x)\n";
+    let resp = post(addr, "/optimize", &optimize_body("cyc", cyclic, ""));
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(
+        resp.text().contains("combinational cycle"),
+        "{}",
+        resp.text()
+    );
+    let batch = |netlist: &str| {
+        format!(
+            "{{\"circuits\": [{{\"name\": \"ok\", \"netlist\": {}}}, \
+              {{\"name\": \"bad\", \"netlist\": {}}}], \"scenarios\": \"a:1\"}}",
+            json_string(TOY),
+            json_string(netlist)
+        )
+    };
+    let resp = post(addr, "/batch", &batch(cyclic));
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(resp.text().contains("circuit `bad`"), "{}", resp.text());
+    assert_eq!(get(addr, "/healthz").status, 200);
+    // Undeclared inputs still trip an assertion in the mapper.
+    let undriven = "OUTPUT(y)\ny = NAND(a, b)\n";
+    let resp = post(addr, "/batch", &batch(undriven));
+    assert_eq!(resp.status, 500, "{}", resp.text());
+    assert!(resp.text().contains("request panicked"), "{}", resp.text());
+    assert_eq!(get(addr, "/healthz").status, 200);
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
 #[test]
 fn batch_streams_one_jsonl_line_per_cell() {
     let (handle, join, addr) = spawn(cfg());

@@ -2,10 +2,10 @@
 
 use crate::waveform::generate_waveform;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use tr_boolean::govern::{Governor, Interrupted};
 use tr_boolean::SignalStats;
-use tr_gatelib::{Library, Process};
+use tr_gatelib::{Cell, CellId, Library, Process};
 use tr_netlist::{Circuit, NetId};
 use tr_spnet::{GateGraph, NodeId};
 use tr_timing::TimingModel;
@@ -68,26 +68,82 @@ pub struct SimReport {
 /// Femtoseconds per second (the engine's integer time base).
 const FS: f64 = 1.0e15;
 
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// A scheduled event. Heap entries are keyed `(time, sequence number)`,
+/// and sequence numbers are unique, so the payload never takes part in
+/// the order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
-    /// A primary input flips.
-    InputToggle { net: usize },
+    /// Primary input `input` flips. Its sequence number is the toggle's
+    /// index in the flat toggle list, so the next toggle is one past it.
+    InputToggle { input: usize },
     /// A gate output value reaches the net.
     Commit { gate: usize, value: bool },
 }
 
-struct GateState {
+/// One row of a [`ConfigTable`]: the solved gate graph under one input
+/// assignment. Bit 0 is the output node, bit `k + 1` internal node `k`.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    /// Nodes connected to a rail.
+    driven: u64,
+    /// Level of every driven node (0 where floating).
+    level: u64,
+    /// Whether some node sees both rails.
+    conflict: bool,
+}
+
+/// The switch-level behaviour of one `(cell, configuration)`, solved once
+/// per input assignment (row index bit `i` = cell input `i`).
+struct ConfigTable<'a> {
+    cell: &'a Cell,
     graph: GateGraph,
-    /// Capacitance per power node (output first), output including load.
-    caps: Vec<f64>,
-    /// Per-pin propagation delay (fs).
-    delays: Vec<u64>,
-    /// Retained value of every internal node.
-    internal: Vec<bool>,
-    /// Last output value passed to the scheduler.
-    last_scheduled: bool,
-    /// Commit-order watermark (fs) so transport events stay ordered.
-    last_commit_time: u64,
+    rows: Vec<Row>,
+    /// `½·C·Vdd²` of every internal node.
+    internal_energy: Vec<f64>,
+}
+
+impl<'a> ConfigTable<'a> {
+    fn solve(cell: &'a Cell, config: usize, process: &Process) -> Self {
+        let graph = cell.graph(config);
+        assert!(
+            graph.internal_count() < 64,
+            "{} has more internal nodes than a row holds",
+            cell.name()
+        );
+        let mut assignment = vec![false; cell.arity()];
+        let rows = (0..1usize << cell.arity())
+            .map(|m| {
+                for (i, v) in assignment.iter_mut().enumerate() {
+                    *v = (m >> i) & 1 == 1;
+                }
+                let solution = graph.solve(&assignment);
+                let mut row = Row {
+                    driven: 0,
+                    level: 0,
+                    conflict: solution.has_conflict(),
+                };
+                for (bit, node) in graph.power_nodes().enumerate() {
+                    if let Some(v) = solution.value(node) {
+                        row.driven |= 1 << bit;
+                        row.level |= u64::from(v) << bit;
+                    }
+                }
+                row
+            })
+            .collect();
+        let internal_energy = (0..graph.internal_count())
+            .map(|k| {
+                let c = process.node_capacitance(&graph, NodeId::Internal(k), 0.0);
+                0.5 * process.switching_energy(c)
+            })
+            .collect();
+        ConfigTable {
+            cell,
+            graph,
+            rows,
+            internal_energy,
+        }
+    }
 }
 
 /// Simulates with stochastic drives on every input (the paper's protocol).
@@ -231,82 +287,138 @@ fn run(
         "duration must exceed warmup"
     );
     circuit.validate(library).expect("invalid circuit");
+    let gate_count = circuit.gates().len();
+
+    // One table per distinct (cell, configuration).
+    let mut table_index: HashMap<(CellId, usize), usize> = HashMap::new();
+    let mut table_keys: Vec<(CellId, usize)> = Vec::new();
+    let table_of: Vec<usize> = circuit
+        .gates()
+        .iter()
+        .map(|gate| {
+            let key = (library.cell_id(&gate.cell).expect("validated"), gate.config);
+            *table_index.entry(key).or_insert_with(|| {
+                table_keys.push(key);
+                table_keys.len() - 1
+            })
+        })
+        .collect();
     let _g = tr_trace::span!(
         "sim.run",
-        gates = circuit.gates().len(),
-        duration = config.duration
+        gates = gate_count,
+        duration = config.duration,
+        configs = table_keys.len()
     );
+    let tables: Vec<ConfigTable> = table_keys
+        .iter()
+        .map(|&(cell, cfg)| ConfigTable::solve(library.cell_by_id(cell), cfg, process))
+        .collect();
 
+    // Flat per-gate data: input nets with their pin delays, output net
+    // and output transition energy (the output load differs per gate).
     let loads = timing.external_loads(circuit);
-    let fanouts = circuit.fanouts();
-
-    // Per-gate static data and readers-of-net index.
-    let mut gates: Vec<GateState> = Vec::with_capacity(circuit.gates().len());
-    for gate in circuit.gates() {
-        let cell = library.cell(&gate.cell).expect("validated");
-        let graph = cell.graph(gate.config);
+    let mut pin_start: Vec<usize> = Vec::with_capacity(gate_count + 1);
+    let mut pins: Vec<usize> = Vec::new();
+    let mut delays: Vec<u64> = Vec::new();
+    let mut out_net: Vec<usize> = Vec::with_capacity(gate_count);
+    let mut out_energy: Vec<f64> = Vec::with_capacity(gate_count);
+    for (gate, &t) in circuit.gates().iter().zip(&table_of) {
         let load = loads[gate.output.0];
-        let caps: Vec<f64> = graph
-            .power_nodes()
-            .map(|n| {
-                process.node_capacitance(&graph, n, if n == NodeId::Output { load } else { 0.0 })
-            })
-            .collect();
-        let delays: Vec<u64> = (0..cell.arity())
-            .map(|pin| (timing.gate_delay(&gate.cell, gate.config, pin, load) * FS).ceil() as u64)
-            .collect();
-        gates.push(GateState {
-            graph,
-            caps,
-            delays,
-            internal: Vec::new(),
-            last_scheduled: false,
-            last_commit_time: 0,
-        });
+        pin_start.push(pins.len());
+        for (pin, net) in gate.inputs.iter().enumerate() {
+            pins.push(net.0);
+            delays.push((timing.gate_delay(&gate.cell, gate.config, pin, load) * FS).ceil() as u64);
+        }
+        out_net.push(gate.output.0);
+        let c = process.node_capacitance(&tables[t].graph, NodeId::Output, load);
+        out_energy.push(0.5 * process.switching_energy(c));
     }
+    pin_start.push(pins.len());
+    let input_mask = |g: usize, net_values: &[bool]| {
+        pins[pin_start[g]..pin_start[g + 1]]
+            .iter()
+            .enumerate()
+            .fold(0usize, |m, (i, &n)| m | usize::from(net_values[n]) << i)
+    };
 
-    // Initial input values + event schedule.
-    let mut heap: BinaryHeap<Reverse<(u64, u64, Event)>> = BinaryHeap::new();
-    let mut seq: u64 = 0;
+    // Readers of every net as (gate, first pin reading the net), in
+    // `Circuit::fanouts` order: a gate reading a net on k pins is listed
+    // k times.
+    let fanouts = circuit.fanouts();
+    let mut reader_start: Vec<usize> = Vec::with_capacity(circuit.net_count() + 1);
+    let mut readers: Vec<(usize, usize)> = Vec::with_capacity(pins.len());
+    for n in 0..circuit.net_count() {
+        reader_start.push(readers.len());
+        for gid in fanouts.get(&NetId(n)).into_iter().flatten() {
+            let gate = &pins[pin_start[gid.0]..pin_start[gid.0 + 1]];
+            let first = gate
+                .iter()
+                .position(|&m| m == n)
+                .expect("reader has the net");
+            readers.push((gid.0, first));
+        }
+    }
+    reader_start.push(readers.len());
+
+    // Initial input values and toggle times. Input `i`'s toggles hold the
+    // sequence numbers `toggle_start[i]..toggle_start[i + 1]`, as if every
+    // toggle were scheduled up front, but only each input's next toggle
+    // sits in the heap.
     let mut net_values = vec![false; circuit.net_count()];
-    for (i, drive) in drives.iter().enumerate() {
-        let net = circuit.primary_inputs()[i];
-        let (initial, toggles) = match drive {
+    let mut toggle_start: Vec<usize> = Vec::with_capacity(drives.len() + 1);
+    let mut toggles: Vec<u64> = Vec::new();
+    let mut heap: BinaryHeap<Reverse<(u64, u64, Event)>> =
+        BinaryHeap::with_capacity(drives.len() + gate_count);
+    for (input, drive) in drives.iter().enumerate() {
+        let (initial, times) = match drive {
             InputDrive::Stochastic(stats) => generate_waveform(
                 stats,
                 config.duration,
-                config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                config.seed ^ (input as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             ),
             InputDrive::Waveform { initial, toggles } => (*initial, toggles.clone()),
         };
-        net_values[net.0] = initial;
-        for t in toggles {
+        net_values[circuit.primary_inputs()[input].0] = initial;
+        let first = toggles.len();
+        toggle_start.push(first);
+        toggles.extend(times.iter().map(|&t| (t * FS) as u64));
+        // One input's toggles are interchangeable and own a contiguous
+        // block of sequence numbers, so sorting an unsorted list keeps
+        // the pop order of scheduling it whole.
+        toggles[first..].sort_unstable();
+        if first < toggles.len() {
             heap.push(Reverse((
-                (t * FS) as u64,
-                seq,
-                Event::InputToggle { net: net.0 },
+                toggles[first],
+                first as u64,
+                Event::InputToggle { input },
             )));
-            seq += 1;
         }
     }
+    toggle_start.push(toggles.len());
+    let mut seq = toggles.len() as u64;
 
     // Settle the t=0 state: functional values, then internal charges.
     let order = circuit.topological_order().expect("validated");
     for gid in &order {
-        let gate = circuit.gate(*gid);
-        let cell = library.cell(&gate.cell).expect("validated");
-        let assignment: Vec<bool> = gate.inputs.iter().map(|n| net_values[n.0]).collect();
-        net_values[gate.output.0] = cell.function().eval(&assignment);
+        let g = gid.0;
+        let value = tables[table_of[g]]
+            .cell
+            .function()
+            .eval_minterm(input_mask(g, &net_values));
+        net_values[out_net[g]] = value;
     }
-    for (gi, state) in gates.iter_mut().enumerate() {
-        let gate = &circuit.gates()[gi];
-        let assignment: Vec<bool> = gate.inputs.iter().map(|n| net_values[n.0]).collect();
-        let solution = state.graph.solve(&assignment);
-        state.internal = (0..state.graph.internal_count())
-            .map(|k| solution.value(NodeId::Internal(k)).unwrap_or(false))
-            .collect();
-        state.last_scheduled = net_values[gate.output.0];
-    }
+    // Retained charge of every gate's internal nodes, in row layout
+    // (bit `k + 1` = internal node `k`; floating nodes start low).
+    let mut charge: Vec<u64> = (0..gate_count)
+        .map(|g| {
+            let row = tables[table_of[g]].rows[input_mask(g, &net_values)];
+            row.level & row.driven & !1
+        })
+        .collect();
+    // Last output value passed to the scheduler, and the commit-order
+    // watermark (fs) that keeps transport events ordered.
+    let mut last_scheduled: Vec<bool> = out_net.iter().map(|&n| net_values[n]).collect();
+    let mut last_commit = vec![0u64; gate_count];
 
     if let Some(t) = trace.as_deref_mut() {
         t.initial = net_values.clone();
@@ -316,150 +428,99 @@ fn run(
     let warmup_fs = (config.warmup * FS) as u64;
     let end_fs = (config.duration * FS) as u64;
     let mut energy = 0.0f64;
-    let mut per_gate_energy = vec![0.0f64; circuit.gates().len()];
+    let mut per_gate_energy = vec![0.0f64; gate_count];
     let mut net_transitions = vec![0u64; circuit.net_count()];
     let mut conflicts = 0u64;
-    let half_cv2 = |c: f64| 0.5 * process.switching_energy(c);
+    let mut events = 0u64;
 
-    // Re-evaluates a gate after an input change; returns scheduled event.
-    let evaluate = |gi: usize,
-                    pin: usize,
-                    t: u64,
-                    gates: &mut Vec<GateState>,
-                    net_values: &Vec<bool>,
-                    per_gate_energy: &mut Vec<f64>,
-                    energy: &mut f64,
-                    conflicts: &mut u64|
-     -> Option<(u64, Event)> {
-        let gate = &circuit.gates()[gi];
-        let state = &mut gates[gi];
-        let assignment: Vec<bool> = gate.inputs.iter().map(|n| net_values[n.0]).collect();
-        let solution = state.graph.solve(&assignment);
-        if solution.has_conflict() {
-            *conflicts += 1;
-        }
-        // Internal node charging/discharging happens "now".
-        for k in 0..state.internal.len() {
-            if let Some(v) = solution.value(NodeId::Internal(k)) {
-                if v != state.internal[k] {
-                    state.internal[k] = v;
-                    if t >= warmup_fs {
-                        let e = half_cv2(state.caps[k + 1]);
-                        *energy += e;
-                        per_gate_energy[gi] += e;
-                    }
-                }
-            }
-        }
-        // New output value travels through the pin's delay.
-        let new_out = solution
-            .value(NodeId::Output)
-            .unwrap_or(state.last_scheduled);
-        if new_out != state.last_scheduled {
-            state.last_scheduled = new_out;
-            let commit_at = (t + state.delays[pin]).max(state.last_commit_time);
-            state.last_commit_time = commit_at;
-            return Some((
-                commit_at,
-                Event::Commit {
-                    gate: gi,
-                    value: new_out,
-                },
-            ));
-        }
-        None
-    };
-
-    while let Some(Reverse((t, _, event))) = heap.pop() {
+    while let Some(Reverse((t, event_seq, event))) = heap.pop() {
         if t >= end_fs {
             break;
         }
         if let Some(g) = governor {
             g.check("simulate")?;
         }
-        match event {
-            Event::InputToggle { net } => {
+        events += 1;
+        let net = match event {
+            Event::InputToggle { input } => {
+                let next = event_seq as usize + 1;
+                if next < toggle_start[input + 1] {
+                    heap.push(Reverse((toggles[next], next as u64, event)));
+                }
+                let net = circuit.primary_inputs()[input].0;
                 net_values[net] = !net_values[net];
                 if t >= warmup_fs {
                     net_transitions[net] += 1;
                 }
-                if let Some(tr) = trace.as_deref_mut() {
-                    tr.events.push(TraceEvent {
-                        time_fs: t,
-                        net,
-                        value: net_values[net],
-                    });
+                net
+            }
+            Event::Commit { gate, value } => {
+                let out = out_net[gate];
+                if net_values[out] == value {
+                    continue;
                 }
-                if let Some(readers) = fanouts.get(&NetId(net)) {
-                    for gid in readers {
-                        let gate = &circuit.gates()[gid.0];
-                        let pin = gate
-                            .inputs
-                            .iter()
-                            .position(|n| n.0 == net)
-                            .expect("reader has the net");
-                        if let Some((at, ev)) = evaluate(
-                            gid.0,
-                            pin,
-                            t,
-                            &mut gates,
-                            &net_values,
-                            &mut per_gate_energy,
-                            &mut energy,
-                            &mut conflicts,
-                        ) {
-                            heap.push(Reverse((at, seq, ev)));
-                            seq += 1;
-                        }
+                net_values[out] = value;
+                if t >= warmup_fs {
+                    net_transitions[out] += 1;
+                    let e = out_energy[gate];
+                    energy += e;
+                    per_gate_energy[gate] += e;
+                }
+                out
+            }
+        };
+        if let Some(tr) = trace.as_deref_mut() {
+            tr.events.push(TraceEvent {
+                time_fs: t,
+                net,
+                value: net_values[net],
+            });
+        }
+        // Re-evaluate every reader: internal nodes charge or discharge
+        // now, a new output value travels through the pin's delay.
+        for &(g, pin) in &readers[reader_start[net]..reader_start[net + 1]] {
+            let table = &tables[table_of[g]];
+            let row = table.rows[input_mask(g, &net_values)];
+            conflicts += u64::from(row.conflict);
+            let changed = (row.level ^ charge[g]) & row.driven & !1;
+            if changed != 0 {
+                charge[g] ^= changed;
+                if t >= warmup_fs {
+                    let mut bits = changed;
+                    while bits != 0 {
+                        let e = table.internal_energy[bits.trailing_zeros() as usize - 1];
+                        energy += e;
+                        per_gate_energy[g] += e;
+                        bits &= bits - 1;
                     }
                 }
             }
-            Event::Commit { gate: gi, value } => {
-                let out = circuit.gates()[gi].output;
-                if net_values[out.0] == value {
-                    continue;
-                }
-                net_values[out.0] = value;
-                if t >= warmup_fs {
-                    net_transitions[out.0] += 1;
-                    let e = half_cv2(gates[gi].caps[0]);
-                    energy += e;
-                    per_gate_energy[gi] += e;
-                }
-                if let Some(tr) = trace.as_deref_mut() {
-                    tr.events.push(TraceEvent {
-                        time_fs: t,
-                        net: out.0,
-                        value,
-                    });
-                }
-                if let Some(readers) = fanouts.get(&out) {
-                    for gid in readers {
-                        let gate = &circuit.gates()[gid.0];
-                        let pin = gate
-                            .inputs
-                            .iter()
-                            .position(|n| *n == out)
-                            .expect("reader has the net");
-                        if let Some((at, ev)) = evaluate(
-                            gid.0,
-                            pin,
-                            t,
-                            &mut gates,
-                            &net_values,
-                            &mut per_gate_energy,
-                            &mut energy,
-                            &mut conflicts,
-                        ) {
-                            heap.push(Reverse((at, seq, ev)));
-                            seq += 1;
-                        }
-                    }
-                }
+            let new_out = if row.driven & 1 == 1 {
+                row.level & 1 == 1
+            } else {
+                last_scheduled[g]
+            };
+            if new_out != last_scheduled[g] {
+                last_scheduled[g] = new_out;
+                let commit_at = (t + delays[pin_start[g] + pin]).max(last_commit[g]);
+                last_commit[g] = commit_at;
+                heap.push(Reverse((
+                    commit_at,
+                    seq,
+                    Event::Commit {
+                        gate: g,
+                        value: new_out,
+                    },
+                )));
+                seq += 1;
             }
         }
     }
 
+    if tr_trace::is_enabled() {
+        tr_trace::counter!("sim.events", events);
+        tr_trace::counter!("sim.transitions", net_transitions.iter().sum::<u64>());
+    }
     let measured_time = config.duration - config.warmup;
     Ok(SimReport {
         measured_time,

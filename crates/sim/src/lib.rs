@@ -8,10 +8,13 @@
 //!   are exponentially distributed with mean `1/D` (generalized to an
 //!   alternating renewal process so equilibrium probabilities other than
 //!   0.5 are honored too);
-//! * every gate is simulated at the **switch level**: on each input change
-//!   the configured transistor graph is re-solved, floating internal nodes
-//!   retain their charge, and every node transition dissipates
-//!   `½·C·Vdd²`;
+//! * every gate is simulated at the **switch level**. Each run solves
+//!   every distinct `(cell, configuration)` of the circuit once per input
+//!   assignment ([`tr_spnet::GateGraph::solve`], at most 64 assignments
+//!   per cell) into a table of which nodes a rail drives and to what
+//!   level. On each input change the gate's row is looked up; floating
+//!   internal nodes still keep their charge, and every node transition
+//!   dissipates `½·C·Vdd²`;
 //! * output transitions propagate with the per-input Elmore delay of the
 //!   gate's configuration, so unequal path delays generate the *useless
 //!   transitions* (glitches) the paper's introduction is about;

@@ -57,6 +57,26 @@ fn pipeline_errors_exit_1() {
 }
 
 #[test]
+fn a_cyclic_netlist_is_a_pipeline_error() {
+    let dir = std::env::temp_dir().join(format!("tr-opt-cycle-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("cyc.bench");
+    std::fs::write(&path, "INPUT(a)\nOUTPUT(x)\nx = AND(a, y)\ny = NOT(x)\n").unwrap();
+    let out = tr_opt()
+        .arg("optimize")
+        .arg(&path)
+        .output()
+        .expect("binary runs");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(1), "a parse error, not a panic");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("combinational cycle through signal"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn batch_partial_failure_exits_3_with_surviving_reports() {
     let dir = std::env::temp_dir().join(format!("tr-opt-exit3-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
