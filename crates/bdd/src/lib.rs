@@ -54,7 +54,7 @@ pub mod order;
 
 pub use circuit::{BuildOptions, CircuitBddStats, CircuitBdds};
 pub use manager::{
-    apportioned_gc_threshold, Bdd, BddError, CacheStats, DensityScratch, Edge, EngineStats,
-    GcStats, ProbScratch, VisitScratch, DEFAULT_GC_THRESHOLD, DEFAULT_NODE_LIMIT,
+    Bdd, BddError, CacheStats, DensityScratch, Edge, EngineStats, GcStats, ProbScratch,
+    VisitScratch, DEFAULT_GC_THRESHOLD, DEFAULT_NODE_LIMIT,
 };
 pub use order::OrderHeuristic;

@@ -87,26 +87,6 @@ pub const DEFAULT_GC_THRESHOLD: usize = 1 << 21;
 /// dominate the pool again before another cache-clearing sweep pays.
 const GC_GROWTH_FACTOR: usize = 4;
 
-/// Floor for [`apportioned_gc_threshold`]: even with hundreds of
-/// coexisting engines, collecting below ~16k live nodes costs more in
-/// cleared caches than it recovers in memory.
-const APPORTIONED_GC_FLOOR: usize = 1 << 14;
-
-/// The GC threshold each of `engines` concurrently live managers should
-/// use so their *combined* uncollected garbage stays near one
-/// [`DEFAULT_GC_THRESHOLD`], instead of `engines` times it.
-///
-/// The default threshold assumes one manager owns the process: two
-/// million nodes (~24 MB) of garbage are allowed to ride before the
-/// first cache-clearing sweep. A partitioned statistics pass runs one
-/// manager per pool worker — with N workers at the default floor the
-/// fleet could hold N×2M dead nodes before any engine collects. Callers
-/// that know how many engines coexist divide the budget here (floored,
-/// so tiny shares don't thrash the operation caches).
-pub fn apportioned_gc_threshold(engines: usize) -> usize {
-    (DEFAULT_GC_THRESHOLD / engines.max(1)).max(APPORTIONED_GC_FLOOR)
-}
-
 /// Errors from BDD construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BddError {
@@ -2110,14 +2090,5 @@ mod tests {
         assert!(bdd.node_count() >= 8);
         assert!(bdd.maybe_gc(), "threshold survives reset");
         assert_eq!(bdd.node_count(), 1);
-    }
-
-    #[test]
-    fn apportioned_threshold_divides_and_floors() {
-        assert_eq!(apportioned_gc_threshold(0), DEFAULT_GC_THRESHOLD);
-        assert_eq!(apportioned_gc_threshold(1), DEFAULT_GC_THRESHOLD);
-        assert_eq!(apportioned_gc_threshold(4), DEFAULT_GC_THRESHOLD / 4);
-        // Hundreds of engines hit the floor instead of thrashing.
-        assert_eq!(apportioned_gc_threshold(1 << 10), 1 << 14);
     }
 }

@@ -287,52 +287,50 @@ fn p7_fixpoint(c: &mut Criterion) {
 }
 
 fn p8_partitioned(c: &mut Criterion) {
-    use tr_power::partition::{propagate_partitioned, PartitionConfig};
+    use tr_power::{IncrementalPropagator, PropagationMode, PropagatorOptions};
 
     let h = Harness::new();
     let mult8 = generators::array_multiplier(8, &h.library);
     let pi = vec![SignalStats::default(); mult8.primary_inputs().len()];
+    let propagate = |circuit: &tr_netlist::Circuit,
+                     pi: &[SignalStats],
+                     mode: PropagationMode,
+                     options: &PropagatorOptions| {
+        IncrementalPropagator::new_with(circuit, &h.library, pi, mode, options)
+            .expect("fits the per-region budget")
+    };
     // The acceptance point: the accuracy-biased config (few, large
     // regions) that holds |ΔP| ≤ 0.05 on mult8 — compare against
     // `p6_bdd_propagate_mult8`, the monolithic run it must beat ≥2×.
-    let accuracy = PartitionConfig::new(1 << 16, 40).with_region_cost(2048);
+    let accuracy_mode = PropagationMode::PartitionedBdd {
+        max_region_nodes: 1 << 16,
+        max_cut_width: 40,
+    };
+    let accuracy = PropagatorOptions {
+        region_cost: Some(2048),
+        ..PropagatorOptions::default()
+    };
     c.bench_function("p8_partitioned_propagate_mult8", |b| {
-        b.iter(|| {
-            std::hint::black_box(
-                propagate_partitioned(&mult8, &h.library, &pi, &accuracy)
-                    .expect("fits the per-region budget"),
-            )
-        })
+        b.iter(|| std::hint::black_box(propagate(&mult8, &pi, accuracy_mode, &accuracy)))
     });
     // The speed-biased default cut (what `--prob part` runs untuned).
-    let default_config = PartitionConfig::new(
-        tr_power::partition::DEFAULT_REGION_NODES,
-        tr_power::partition::DEFAULT_CUT_WIDTH,
-    );
+    let default_mode = PropagationMode::partitioned();
+    let defaults = PropagatorOptions::default();
     c.bench_function("p8_partitioned_propagate_mult8_default", |b| {
-        b.iter(|| {
-            std::hint::black_box(
-                propagate_partitioned(&mult8, &h.library, &pi, &default_config)
-                    .expect("fits the per-region budget"),
-            )
-        })
+        b.iter(|| std::hint::black_box(propagate(&mult8, &pi, default_mode, &defaults)))
     });
     // Past the monolithic ceiling: mult16's 2848 gates, where the
     // whole-circuit engine cannot run at all (node-budget blowup).
     let big = generators::array_multiplier(16, &h.library);
     let big_pi = vec![SignalStats::default(); big.primary_inputs().len()];
     c.bench_function("p8_partitioned_propagate_mult16", |b| {
-        b.iter(|| {
-            std::hint::black_box(
-                propagate_partitioned(&big, &h.library, &big_pi, &default_config)
-                    .expect("fits the per-region budget"),
-            )
-        })
+        b.iter(|| std::hint::black_box(propagate(&big, &big_pi, default_mode, &defaults)))
     });
 
     // Exact per-net statistics feeding the gate-parallel reorderer.
-    let (net_stats, _) =
-        propagate_partitioned(&mult8, &h.library, &pi, &default_config).expect("fits");
+    let net_stats = propagate(&mult8, &pi, default_mode, &defaults)
+        .net_stats()
+        .to_vec();
     let four = OptimizeOptions {
         threads: 4,
         ..OptimizeOptions::default()

@@ -22,11 +22,9 @@
 use std::time::Instant;
 use tr_bench::Harness;
 use tr_boolean::SignalStats;
-use tr_power::partition::{
-    propagate_partitioned, PartitionConfig, PartitionReport, DEFAULT_CUT_WIDTH,
-    DEFAULT_REGION_NODES,
+use tr_power::{
+    propagate, propagate_exact_bdd, IncrementalPropagator, PropagationMode, PropagatorOptions,
 };
-use tr_power::{propagate, propagate_exact_bdd};
 
 /// Max |ΔP| and max relative ΔD% against a reference.
 fn deviations(reference: &[SignalStats], other: &[SignalStats]) -> (f64, f64) {
@@ -44,21 +42,23 @@ fn deviations(reference: &[SignalStats], other: &[SignalStats]) -> (f64, f64) {
 struct PartRun {
     wall_ms: f64,
     stats: Vec<SignalStats>,
-    report: PartitionReport,
+    /// `(regions, cut_nets, approx_fraction)`.
+    shape: (usize, usize, f64),
 }
 
 fn run_partitioned(
     circuit: &tr_netlist::Circuit,
     h: &Harness,
     pi: &[SignalStats],
-    config: &PartitionConfig,
+    mode: PropagationMode,
+    options: &PropagatorOptions,
 ) -> Option<PartRun> {
     let start = Instant::now();
-    let (stats, report) = propagate_partitioned(circuit, &h.library, pi, config).ok()?;
+    let prop = IncrementalPropagator::new_with(circuit, &h.library, pi, mode, options).ok()?;
     Some(PartRun {
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
-        stats,
-        report,
+        shape: prop.partition_summary()?,
+        stats: prop.net_stats().to_vec(),
     })
 }
 
@@ -91,18 +91,27 @@ fn main() {
         let full_ms = full.as_ref().map(|_| start.elapsed().as_secs_f64() * 1e3);
         let indep = propagate(&case.circuit, &h.library, &pi);
 
+        let accuracy = PropagatorOptions {
+            region_cost: Some(2048),
+            ..PropagatorOptions::default()
+        };
         let configs = [
             (
                 "acc",
-                PartitionConfig::new(1 << 16, 40).with_region_cost(2048),
+                PropagationMode::PartitionedBdd {
+                    max_region_nodes: 1 << 16,
+                    max_cut_width: 40,
+                },
+                accuracy,
             ),
             (
                 "def",
-                PartitionConfig::new(DEFAULT_REGION_NODES, DEFAULT_CUT_WIDTH),
+                PropagationMode::partitioned(),
+                PropagatorOptions::default(),
             ),
         ];
-        for (tag, config) in configs {
-            let Some(run) = run_partitioned(&case.circuit, &h, &pi, &config) else {
+        for (tag, mode, options) in configs {
+            let Some(run) = run_partitioned(&case.circuit, &h, &pi, mode, &options) else {
                 println!(
                     "{:<12} {:>5} {:>4} | {:>8} | {:>4} blew its per-region budget",
                     case.name,
@@ -137,9 +146,9 @@ fn main() {
                 tag,
                 run.wall_ms,
                 speedup,
-                run.report.regions,
-                run.report.cut_nets,
-                run.report.approx_fraction,
+                run.shape.0,
+                run.shape.1,
+                run.shape.2,
                 max_dp,
                 max_dd,
                 indep_dp

@@ -383,6 +383,24 @@ fn injected_node_limit(limit: Option<usize>) -> PropagationError {
     })
 }
 
+/// One attempt of the statistics degradation ladder (see
+/// [`Flow::ladder`]).
+#[derive(Debug)]
+struct Rung {
+    /// Recorded as the landing rung when a retry succeeds; also the
+    /// `rung` arg of the attempt's `stats.attempt` span.
+    name: &'static str,
+    mode: PropagationMode,
+    /// Faultpoint visited before the attempt: an armed `NodeLimit` fails
+    /// it, and every later attempt of the same name.
+    site: Option<&'static str>,
+    /// Build the exact engine under the information-measure order
+    /// ([`tr_bdd::order::info_measure`]).
+    info_order: bool,
+    /// Tried only when the requested build blew its node budget.
+    on_node_limit: bool,
+}
+
 /// Where the input statistics come from.
 #[derive(Debug, Clone)]
 enum StatsSpec {
@@ -823,6 +841,7 @@ impl Flow {
         let independence_error = match prob {
             PropagationMode::Independent => None,
             _ => {
+                let _s = tr_trace::span!("stats.independence", gates = circuit.gates().len());
                 let indep = propagate(circuit, &env.library, &stats);
                 Some(max_probability_deviation(&net_stats, &indep))
             }
@@ -1200,9 +1219,8 @@ impl Flow {
         };
 
         // Engine-health self-profile, one coherent snapshot from the
-        // backend that produced the statistics. The incremental
-        // propagator walks its region schedule serially, so `part`
-        // utilization is 1.0 by the `PartitionReport` convention.
+        // backend that produced the statistics. The propagator walks its
+        // regions serially, so `part` utilization is 1.0.
         let engine = propagator.engine_stats();
         let perf = PerfReport {
             peak_live_nodes: engine.map(|s| s.gc.peak_live),
@@ -1262,7 +1280,8 @@ impl Flow {
 
     /// Stage 2b: builds the statistics propagator under the configured
     /// budget, walking the degradation ladder on a recoverable failure
-    /// (see [`Flow::degrade`]). `deadline_on` is false for post-trip
+    /// (see [`Flow::degrade`]): each rung of [`Flow::ladder`] is tried
+    /// in turn until one lands. `deadline_on` is false for post-trip
     /// rebuilds, where only cancellation is still enforced. Returns the
     /// propagator plus the backend that actually produced the
     /// statistics.
@@ -1275,175 +1294,168 @@ impl Flow {
         deadline_on: bool,
         ladder: &mut LadderState,
     ) -> Result<(IncrementalPropagator, PropagationMode), Error> {
-        let governor = |deadline: bool| {
-            if deadline {
-                run_governor.cloned()
-            } else {
-                self.cancel_governor()
-            }
-        };
         // A post-trip rebuild that already fell back stays independent.
         let mode = if ladder.rung == Some("independent-fallback") {
             PropagationMode::Independent
         } else {
             self.prob
         };
-        let injected = (mode == PropagationMode::ExactBdd
-            && faultpoint::hit("exact-build") == Some(Fault::NodeLimit))
-            || (matches!(mode, PropagationMode::PartitionedBdd { .. })
-                && faultpoint::hit("part-build") == Some(Fault::NodeLimit));
-        // The configured order heuristic seeds the *first* exact build;
-        // the ladder's info-reorder-retry below is independent of it.
-        let bdd_order = match (mode, self.order) {
-            (PropagationMode::ExactBdd, OrderHeuristic::InfoMeasure) => {
+        let rungs = self.ladder(mode);
+        // The requested build's failure: the reason every later rung
+        // records, and what decides which rungs apply.
+        let mut reason: Option<PropagationError> = None;
+        let mut injected_rung = None;
+        for (i, rung) in rungs.iter().enumerate() {
+            // The last rung, the independent fallback, must complete:
+            // only cancellation aborts it.
+            let last = i + 1 == rungs.len();
+            let node_limit_blown = matches!(
+                reason,
+                Some(PropagationError::Bdd(BddError::NodeLimit { .. }))
+            );
+            if (rung.on_node_limit && !node_limit_blown) || injected_rung == Some(rung.name) {
+                continue;
+            }
+            let _attempt =
+                tr_trace::span!("stats.attempt", rung = rung.name, mode = rung.mode.as_str());
+            let governor = if last || !deadline_on {
+                self.cancel_governor()
+            } else {
+                run_governor.cloned()
+            };
+            let bdd_order = if rung.info_order {
                 let compiled = CompiledCircuit::compile(circuit, &env.library)?;
                 let probs: Vec<f64> = stats.iter().map(|s| s.probability()).collect();
                 Some(tr_bdd::order::info_measure(&compiled, &probs))
-            }
-            _ => None,
-        };
-        let first = if injected {
-            Err(injected_node_limit(self.budget.bdd_node_budget))
-        } else {
-            IncrementalPropagator::new_with(
-                circuit,
-                &env.library,
-                stats,
-                mode,
-                &PropagatorOptions {
-                    node_limit: self.budget.bdd_node_budget,
-                    governor: governor(deadline_on),
-                    bdd_order,
-                },
-            )
-        };
-        let err = match first {
-            Ok(p) => return Ok((p, mode)),
-            Err(e) => e,
-        };
-        // Explicit cancellation is a real abort; so is any trip when
-        // degradation is off.
-        if let PropagationError::Interrupted(i) = &err {
-            if i.reason == TripReason::Cancelled {
-                return Err(Error::Interrupted(*i));
-            }
-        }
-        if !self.degrade {
-            return Err(err.into());
-        }
-        let node_limit_blown = matches!(&err, PropagationError::Bdd(BddError::NodeLimit { .. }));
-        if !node_limit_blown && !matches!(&err, PropagationError::Interrupted(_)) {
-            // Compile/validation failures are defects, not resource
-            // exhaustion — no ladder for those.
-            return Err(err.into());
-        }
-        // Rung 1 for the partitioned backend (blown node budget only):
-        // shrink the regions. The per-region BDD size tracks region size
-        // super-linearly, so halving the per-region budget — which
-        // halves the packing cost — reliably shrinks the biggest region
-        // engine far more than 2×. Up to three halvings; the cut only
-        // ever moves toward the gate-local (independent) limit, so each
-        // step trades accuracy for fit, exactly what a degradation rung
-        // should do.
-        if node_limit_blown {
-            if let PropagationMode::PartitionedBdd {
-                max_region_nodes,
-                max_cut_width,
-            } = mode
+            } else {
+                None
+            };
+            let result = if rung
+                .site
+                .is_some_and(|site| faultpoint::hit(site) == Some(Fault::NodeLimit))
             {
-                // An armed faultpoint fails the whole rung (every
-                // halving), mirroring `info-reorder-retry`.
-                let rung_injected = faultpoint::hit("shrink-regions") == Some(Fault::NodeLimit);
-                let mut nodes = if max_region_nodes == 0 {
-                    tr_power::partition::DEFAULT_REGION_NODES
-                } else {
-                    max_region_nodes
-                };
-                for _ in 0..3 {
-                    if rung_injected || nodes <= 2 {
-                        break;
-                    }
-                    nodes /= 2;
-                    let shrunk = PropagationMode::PartitionedBdd {
-                        max_region_nodes: nodes,
-                        max_cut_width,
-                    };
-                    match IncrementalPropagator::new_with(
-                        circuit,
-                        &env.library,
-                        stats,
-                        shrunk,
-                        &PropagatorOptions {
-                            node_limit: self.budget.bdd_node_budget,
-                            governor: governor(deadline_on),
-                            bdd_order: None,
-                        },
-                    ) {
-                        Ok(p) => {
-                            ladder.record("shrink-regions", "stats", &err);
-                            return Ok((p, shrunk));
-                        }
-                        Err(PropagationError::Interrupted(i))
-                            if i.reason == TripReason::Cancelled =>
-                        {
-                            return Err(Error::Interrupted(i));
-                        }
-                        Err(_) => {} // halve again, then rung 2
-                    }
-                }
-            }
-        }
-        // Rung 1 (blown node budget only): the half-built engine was
-        // dropped above, freeing every node; retry once under the cheap
-        // information-measure order — high-entropy inputs driving large
-        // fanout cones get the top levels — which often fits where the
-        // structural default does not. A blown deadline skips straight
-        // to rung 2: a second exact build would blow it again.
-        if node_limit_blown && mode == PropagationMode::ExactBdd {
-            let compiled = CompiledCircuit::compile(circuit, &env.library)?;
-            let probs: Vec<f64> = stats.iter().map(|s| s.probability()).collect();
-            let order = tr_bdd::order::info_measure(&compiled, &probs);
-            let retry = if faultpoint::hit("info-reorder-retry") == Some(Fault::NodeLimit) {
+                injected_rung = Some(rung.name);
                 Err(injected_node_limit(self.budget.bdd_node_budget))
             } else {
                 IncrementalPropagator::new_with(
                     circuit,
                     &env.library,
                     stats,
-                    PropagationMode::ExactBdd,
+                    rung.mode,
                     &PropagatorOptions {
                         node_limit: self.budget.bdd_node_budget,
-                        governor: governor(deadline_on),
-                        bdd_order: Some(order),
+                        governor,
+                        bdd_order,
+                        region_cost: None,
                     },
                 )
             };
-            match retry {
-                Ok(p) => {
-                    ladder.record("info-reorder-retry", "stats", &err);
-                    return Ok((p, PropagationMode::ExactBdd));
+            let err = match result {
+                Ok(propagator) => {
+                    if let Some(reason) = &reason {
+                        ladder.record(rung.name, "stats", reason);
+                    }
+                    return Ok((propagator, rung.mode));
                 }
-                Err(PropagationError::Interrupted(i)) if i.reason == TripReason::Cancelled => {
-                    return Err(Error::Interrupted(i));
+                Err(err) => err,
+            };
+            // Explicit cancellation is a real abort, and so is a failed
+            // last rung. The requested build has no ladder when
+            // degradation is off, or when its failure is a defect
+            // (compile, validation) rather than resource exhaustion.
+            let cancelled = matches!(
+                &err,
+                PropagationError::Interrupted(trip) if trip.reason == TripReason::Cancelled
+            );
+            let recoverable = matches!(
+                &err,
+                PropagationError::Bdd(BddError::NodeLimit { .. })
+                    | PropagationError::Interrupted(_)
+            );
+            if cancelled || last || (reason.is_none() && !(self.degrade && recoverable)) {
+                return Err(err.into());
+            }
+            reason.get_or_insert(err);
+        }
+        unreachable!("the independent fallback either lands or returns its error")
+    }
+
+    /// The statistics ladder for `mode`, in the order its rungs are
+    /// tried:
+    ///
+    /// 1. the requested build (`requested`);
+    /// 2. on a blown node budget only — a blown deadline would blow a
+    ///    second build too — either one `info-reorder-retry` (the exact
+    ///    engine: the failed engine is dropped, freeing every node, and
+    ///    the build retried under the information-measure order, which
+    ///    often fits where the structural default does not), or up to
+    ///    three `shrink-regions` halvings of the per-region budget (the
+    ///    partitioned engine: halving it halves the packing cost, and
+    ///    region BDD size tracks region size super-linearly, so the
+    ///    biggest region engine shrinks far more than 2×; the cut only
+    ///    ever moves toward the gate-local limit, trading accuracy for
+    ///    fit);
+    /// 3. `independent-fallback`: always fits, always fast, and run
+    ///    under the cancel-only governor, since the run must complete.
+    fn ladder(&self, mode: PropagationMode) -> Vec<Rung> {
+        let retry = |name, mode, info_order| Rung {
+            name,
+            mode,
+            site: Some(name),
+            info_order,
+            on_node_limit: true,
+        };
+        let mut rungs = vec![Rung {
+            name: "requested",
+            mode,
+            site: match mode {
+                PropagationMode::ExactBdd => Some("exact-build"),
+                PropagationMode::PartitionedBdd { .. } => Some("part-build"),
+                _ => None,
+            },
+            // The configured order heuristic seeds the first exact build
+            // only; the info-reorder-retry rung is independent of it.
+            info_order: mode.uses_exact_engine() && self.order == OrderHeuristic::InfoMeasure,
+            on_node_limit: false,
+        }];
+        if mode.uses_exact_engine() {
+            rungs.push(retry("info-reorder-retry", mode, true));
+        } else if let PropagationMode::PartitionedBdd {
+            max_region_nodes,
+            max_cut_width,
+        } = mode
+        {
+            let mut nodes = if max_region_nodes == 0 {
+                tr_power::partition::DEFAULT_REGION_NODES
+            } else {
+                max_region_nodes
+            };
+            for halving in 0..3 {
+                if nodes <= 2 {
+                    break;
                 }
-                Err(_) => {} // fall through to rung 2
+                nodes /= 2;
+                let shrunk = PropagationMode::PartitionedBdd {
+                    max_region_nodes: nodes,
+                    max_cut_width,
+                };
+                let mut rung = retry("shrink-regions", shrunk, false);
+                // The site is visited once per rung, not per halving:
+                // an armed fault fails every halving.
+                if halving > 0 {
+                    rung.site = None;
+                }
+                rungs.push(rung);
             }
         }
-        // Rung 2: the independence assumption — always fits, always
-        // fast. From here on the deadline is no longer enforced (the
-        // request must complete); only explicit cancellation aborts.
-        let fallback = IncrementalPropagator::new_with(
-            circuit,
-            &env.library,
-            stats,
-            PropagationMode::Independent,
-            &PropagatorOptions {
-                governor: self.cancel_governor(),
-                ..PropagatorOptions::default()
-            },
-        )?;
-        ladder.record("independent-fallback", "stats", &err);
-        Ok((fallback, PropagationMode::Independent))
+        rungs.push(Rung {
+            name: "independent-fallback",
+            mode: PropagationMode::Independent,
+            site: None,
+            info_order: false,
+            on_node_limit: false,
+        });
+        rungs
     }
 
     /// Runs one governed stage under the run's governor — cancellation
@@ -1664,9 +1676,21 @@ mod tests {
         assert!(report.power.model_after_w > 0.0);
     }
 
+    /// Bitwise images of per-net statistics.
+    fn bits(stats: &[SignalStats]) -> Vec<(u64, u64)> {
+        stats
+            .iter()
+            .map(|s| (s.probability().to_bits(), s.density().to_bits()))
+            .collect()
+    }
+
     #[test]
     fn partitioned_cut_width_zero_matches_exact_bdd() {
         let env = FlowEnv::new();
+        let uncut = PropagationMode::PartitionedBdd {
+            max_region_nodes: tr_power::partition::DEFAULT_REGION_NODES,
+            max_cut_width: 0,
+        };
         let c = generators::ripple_carry_adder(8, &env.library);
         let base = Flow::from_circuit(c).scenario(Scenario::a(), 11);
         let exact = base
@@ -1674,13 +1698,8 @@ mod tests {
             .prob(PropagationMode::ExactBdd)
             .run(&env)
             .unwrap();
-        let part = base
-            .prob(PropagationMode::PartitionedBdd {
-                max_region_nodes: 1 << 16,
-                max_cut_width: 0,
-            })
-            .run(&env)
-            .unwrap();
+        let part = base.prob(uncut).run(&env).unwrap();
+        assert_eq!(part.prob_mode, "part");
         assert_eq!(part.partition_regions, Some(1));
         assert_eq!(
             part.partition_error_bound,
@@ -1689,6 +1708,68 @@ mod tests {
         );
         assert_eq!(part.power.model_after_w, exact.power.model_after_w);
         assert_eq!(part.changed_gates, exact.changed_gates);
+
+        // Cut width 0 builds the whole-circuit engine under the run's
+        // budget: wherever `--prob bdd` completes, so does it, with the
+        // same statistics bit for bit.
+        let mut compared = 0;
+        for case in tr_netlist::suite::standard_suite(&env.library) {
+            let flow = Flow::from_circuit(case.circuit.clone()).scenario(Scenario::a(), 1);
+            let exact = flow
+                .clone()
+                .prob(PropagationMode::ExactBdd)
+                .prepare_stats(&env, &case.circuit)
+                .unwrap();
+            if exact.degraded() {
+                continue;
+            }
+            let part = flow.prob(uncut).prepare_stats(&env, &case.circuit).unwrap();
+            assert!(!part.degraded(), "{}: cut width 0 degraded", case.name);
+            assert_eq!(part.prob_mode(), uncut, "{}", case.name);
+            assert_eq!(
+                bits(part.net_stats()),
+                bits(exact.net_stats()),
+                "{}: statistics differ from the exact engine's",
+                case.name
+            );
+            compared += 1;
+        }
+        assert!(compared >= 25, "only {compared} suite circuits compared");
+    }
+
+    #[test]
+    fn flow_statistics_are_the_propagator_statistics() {
+        // `tr-opt analyze` builds a plain propagator; `optimize` goes
+        // through the flow's ladder. Where the flow lands undegraded the
+        // two must agree bit for bit: there is one engine.
+        let env = FlowEnv::new();
+        let mut compared = 0;
+        for case in tr_netlist::suite::standard_suite(&env.library) {
+            let stats = Scenario::a().input_stats(case.circuit.primary_inputs().len(), 1);
+            let stage = Flow::from_circuit(case.circuit.clone())
+                .scenario(Scenario::a(), 1)
+                .prob(PropagationMode::partitioned())
+                .prepare_stats(&env, &case.circuit)
+                .unwrap();
+            if stage.degraded() {
+                continue;
+            }
+            let plain = IncrementalPropagator::new(
+                &case.circuit,
+                &env.library,
+                &stats,
+                PropagationMode::partitioned(),
+            )
+            .unwrap();
+            assert_eq!(
+                bits(stage.net_stats()),
+                bits(plain.net_stats()),
+                "{}",
+                case.name
+            );
+            compared += 1;
+        }
+        assert!(compared >= 25, "only {compared} suite circuits compared");
     }
 
     #[test]

@@ -40,10 +40,8 @@ pub struct PerfReport {
     /// Combined ITE/restrict op-cache hit fraction over the whole run.
     pub cache_hit_rate: Option<f64>,
     /// Fraction of region-schedule thread-time spent evaluating regions
-    /// (`part` only). The flow's incremental propagator evaluates its
-    /// region schedule serially, so this is 1.0 by the
-    /// [`tr_power::PartitionReport::pool_utilization`] convention; the
-    /// parallel pool's measured utilization is surfaced there.
+    /// (`part` only). The statistics engine evaluates its regions on one
+    /// thread, one after another, so this is always 1.0.
     pub region_utilization: Option<f64>,
 }
 

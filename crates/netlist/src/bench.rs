@@ -40,12 +40,15 @@ impl std::error::Error for ParseError {}
 /// # Errors
 ///
 /// Returns a [`ParseError`] on malformed lines, unknown operators
-/// (including sequential elements), empty operand lists, or a
-/// combinational cycle (reported at the definition of a signal on it).
+/// (including sequential elements), empty operand lists, a signal read
+/// but never defined (reported where it is read), or a combinational
+/// cycle (reported at the definition of a signal on it).
 pub fn parse(name: &str, text: &str) -> Result<GenericCircuit, ParseError> {
     let mut circuit = GenericCircuit::new(name);
-    // Line of every gate definition, for the cycle report.
+    // Line of every gate definition and output declaration, for the
+    // undefined-signal and cycle reports.
     let mut gate_lines = Vec::new();
+    let mut output_lines = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim();
         let lineno = lineno + 1;
@@ -57,7 +60,7 @@ pub fn parse(name: &str, text: &str) -> Result<GenericCircuit, ParseError> {
             continue;
         }
         if let Some(rest) = strip_call(line, "OUTPUT") {
-            circuit.add_output(rest.trim());
+            output_lines.push((circuit.add_output(rest.trim()), lineno));
             continue;
         }
         // `out = OP(in1, in2, …)`
@@ -101,6 +104,22 @@ pub fn parse(name: &str, text: &str) -> Result<GenericCircuit, ParseError> {
         }
         circuit.add_gate(lhs, op, &args);
         gate_lines.push(lineno);
+    }
+    if let Some((signal, reader)) = circuit.undefined_read() {
+        let line = match reader {
+            Some(g) => gate_lines[g],
+            None => output_lines
+                .iter()
+                .find(|&&(s, _)| s == signal)
+                .map_or(0, |&(_, line)| line),
+        };
+        return Err(ParseError {
+            line,
+            message: format!(
+                "signal `{}` is read but never defined (no INPUT or gate drives it)",
+                circuit.signal_name(signal)
+            ),
+        });
     }
     if let Err(cycle) = circuit.topological_order() {
         let g = cycle[0];
@@ -215,6 +234,17 @@ mod tests {
         assert!(parse("bad", "x = NAND a, b\n").is_err());
         assert!(parse("bad", "x = NAND()\n").is_err());
         assert!(parse("bad", "x = NOT(a, b)\n").is_err());
+    }
+
+    #[test]
+    fn rejects_an_undeclared_signal_naming_it() {
+        let err = parse("u", "OUTPUT(y)\ny = NAND(a, b)\n").unwrap_err();
+        assert!(err.message.contains("signal `a`"), "{err}");
+        assert_eq!(err.line, 2);
+        // An output nothing drives is reported at its declaration.
+        let err = parse("u", "INPUT(a)\nOUTPUT(z)\ny = NOT(a)\n").unwrap_err();
+        assert!(err.message.contains("signal `z`"), "{err}");
+        assert_eq!(err.line, 2);
     }
 
     #[test]

@@ -45,12 +45,14 @@ struct NamesTable {
 /// # Errors
 ///
 /// Returns [`BlifError`] on sequential/hierarchical constructs, malformed
-/// tables, inconsistent output phases within one table, or a
-/// combinational cycle (reported at the table of a signal on it).
+/// tables, inconsistent output phases within one table, a signal read
+/// but never defined (reported where it is read), or a combinational
+/// cycle (reported at the table of a signal on it).
 pub fn parse(text: &str) -> Result<GenericCircuit, BlifError> {
     let mut name = "blif".to_string();
     let mut inputs: Vec<String> = Vec::new();
-    let mut outputs: Vec<String> = Vec::new();
+    // Each declared output with the line declaring it.
+    let mut outputs: Vec<(String, usize)> = Vec::new();
     let mut tables: Vec<NamesTable> = Vec::new();
     let mut current: Option<NamesTable> = None;
 
@@ -104,7 +106,7 @@ pub fn parse(text: &str) -> Result<GenericCircuit, BlifError> {
                 }
             }
             ".inputs" => inputs.extend(toks.map(str::to_string)),
-            ".outputs" => outputs.extend(toks.map(str::to_string)),
+            ".outputs" => outputs.extend(toks.map(|t| (t.to_string(), lineno))),
             ".names" => {
                 if let Some(t) = current.take() {
                     tables.push(t);
@@ -210,11 +212,33 @@ pub fn parse(text: &str) -> Result<GenericCircuit, BlifError> {
     for i in &inputs {
         circuit.add_input(i);
     }
-    // The gate that drives each table's output, with the table's line.
+    // The gate that drives each table's output, with the table's line,
+    // and the table line of every gate.
     let mut table_gates: Vec<(usize, usize)> = Vec::with_capacity(tables.len());
+    let mut gate_lines: Vec<usize> = Vec::new();
     for t in &tables {
         lower_table(&mut circuit, t)?;
         table_gates.push((circuit.gates().len() - 1, t.line));
+        gate_lines.resize(circuit.gates().len(), t.line);
+    }
+    for (o, _) in &outputs {
+        circuit.add_output(o);
+    }
+    if let Some((signal, reader)) = circuit.undefined_read() {
+        let name = circuit.signal_name(signal);
+        let line = match reader {
+            Some(g) => gate_lines[g],
+            None => outputs
+                .iter()
+                .find(|(o, _)| o == name)
+                .map_or(0, |&(_, line)| line),
+        };
+        return Err(BlifError {
+            line,
+            message: format!(
+                "signal `{name}` is read but never defined (no .inputs entry or table drives it)"
+            ),
+        });
     }
     if let Err(cycle) = circuit.topological_order() {
         // Every cycle passes through some table's output gate: the other
@@ -236,9 +260,6 @@ pub fn parse(text: &str) -> Result<GenericCircuit, BlifError> {
                 circuit.signal_name(circuit.gates()[gate].output)
             ),
         });
-    }
-    for o in &outputs {
-        circuit.add_output(o);
     }
     Ok(circuit)
 }
@@ -282,11 +303,7 @@ fn lower_table(circuit: &mut GenericCircuit, table: &NamesTable) -> Result<(), B
                 Some(true) => factors.push(table.inputs[ii].clone()),
                 Some(false) => {
                     let n = format!("_not_{}", table.inputs[ii]);
-                    if circuit
-                        .gates()
-                        .iter()
-                        .all(|g| circuit.signal_name(g.output) != n)
-                    {
+                    if !circuit.is_driven(&n) {
                         circuit.add_gate(&n, GenericOp::Not, &[&table.inputs[ii]]);
                     }
                     factors.push(n);
@@ -421,6 +438,18 @@ mod tests {
             let got: Vec<bool> = mapped.primary_outputs().iter().map(|o| nets[o.0]).collect();
             assert_eq!(got, generic.evaluate_outputs(&v), "{m:03b}");
         }
+    }
+
+    #[test]
+    fn rejects_an_undeclared_signal_naming_it() {
+        let text = ".model u\n.inputs a\n.outputs y\n.names a b y\n11 1\n.end\n";
+        let err = parse(text).unwrap_err();
+        assert!(err.message.contains("signal `b`"), "{err}");
+        assert_eq!(err.line, 4);
+        let text = ".model u\n.inputs a\n.outputs y z\n.names a y\n0 1\n.end\n";
+        let err = parse(text).unwrap_err();
+        assert!(err.message.contains("signal `z`"), "{err}");
+        assert_eq!(err.line, 3);
     }
 
     #[test]

@@ -105,10 +105,12 @@ pub struct GenericCircuit {
     name_index: HashMap<String, usize>,
     inputs: Vec<usize>,
     outputs: Vec<usize>,
-    /// Per-signal membership in `inputs` and `outputs`, one entry per
-    /// signal, so the declaration methods deduplicate in O(1).
+    /// Per-signal membership in `inputs` and `outputs`, and whether a
+    /// gate drives the signal, one entry per signal, so declaration and
+    /// lookup run in O(1).
     is_input: Vec<bool>,
     is_output: Vec<bool>,
+    is_driven: Vec<bool>,
     gates: Vec<GenericGate>,
 }
 
@@ -123,6 +125,7 @@ impl GenericCircuit {
             outputs: Vec::new(),
             is_input: Vec::new(),
             is_output: Vec::new(),
+            is_driven: Vec::new(),
             gates: Vec::new(),
         }
     }
@@ -140,6 +143,7 @@ impl GenericCircuit {
         self.signal_names.push(name.to_string());
         self.is_input.push(false);
         self.is_output.push(false);
+        self.is_driven.push(false);
         let i = self.signal_names.len() - 1;
         self.name_index.insert(name.to_string(), i);
         i
@@ -169,17 +173,43 @@ impl GenericCircuit {
     pub fn add_gate(&mut self, output: &str, op: GenericOp, inputs: &[&str]) -> usize {
         let out = self.signal(output);
         let ins: Vec<usize> = inputs.iter().map(|n| self.signal(n)).collect();
-        self.gates.push(GenericGate {
-            op,
-            inputs: ins,
-            output: out,
-        });
+        self.add_gate_ids(out, op, ins);
         out
     }
 
     /// Adds a gate by signal indices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `output` is not an interned signal.
     pub fn add_gate_ids(&mut self, output: usize, op: GenericOp, inputs: Vec<usize>) {
+        self.is_driven[output] = true;
         self.gates.push(GenericGate { op, inputs, output });
+    }
+
+    /// Whether some gate drives the signal named `name`.
+    pub fn is_driven(&self, name: &str) -> bool {
+        self.name_index
+            .get(name)
+            .is_some_and(|&i| self.is_driven[i])
+    }
+
+    /// The first signal that is read but never defined — neither a
+    /// primary input nor driven by a gate — with the index of the gate
+    /// reading it (`None` when only a primary output reads it). Gates
+    /// are scanned in order, then the outputs. The parsers reject such a
+    /// netlist; the mapper assumes none.
+    pub fn undefined_read(&self) -> Option<(usize, Option<usize>)> {
+        let defined = |s: usize| self.is_input[s] || self.is_driven[s];
+        for (g, gate) in self.gates.iter().enumerate() {
+            if let Some(&s) = gate.inputs.iter().find(|&&s| !defined(s)) {
+                return Some((s, Some(g)));
+            }
+        }
+        self.outputs
+            .iter()
+            .find(|&&s| !defined(s))
+            .map(|&s| (s, None))
     }
 
     /// Number of signals.

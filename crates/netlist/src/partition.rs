@@ -16,9 +16,9 @@
 //! its external-input count would exceed the cut width, preferring to cut
 //! right after high-fanout nets (their statistics are computed once and
 //! reused by every reader). Region indices come out topologically sorted:
-//! every dependency of region `r` has an index `< r`, so a serial
-//! evaluation in index order — or a dataflow schedule over
-//! [`Partition::dependencies`] — is always safe.
+//! every region that `r` reads a cut net from has an index `< r`, so a
+//! serial evaluation in index order is always safe, and a re-evaluated
+//! region only ever dirties higher-indexed [`Partition::dependents`].
 //!
 //! [`Partition::approx_fraction`] reports which nets are *provably*
 //! exact under the cut: a region whose external inputs have pairwise
@@ -121,10 +121,8 @@ pub struct Partition {
     regions: Vec<Region>,
     /// Gate index -> owning region index.
     region_of_gate: Vec<u32>,
-    /// Region -> distinct predecessor regions (producers of its cut
-    /// inputs), ascending.
-    dependencies: Vec<Vec<u32>>,
-    /// Region -> distinct successor regions, ascending.
+    /// Region -> distinct successor regions (readers of its cut
+    /// outputs), ascending.
     dependents: Vec<Vec<u32>>,
     /// All nets read across a region boundary (non-primary-input region
     /// inputs), ascending, deduplicated.
@@ -132,8 +130,8 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// The regions, topologically sorted: every dependency of
-    /// `regions()[r]` has an index `< r`.
+    /// The regions, topologically sorted: every region that
+    /// `regions()[r]` reads a cut net from has an index `< r`.
     pub fn regions(&self) -> &[Region] {
         &self.regions
     }
@@ -141,12 +139,6 @@ impl Partition {
     /// The region owning `gate`.
     pub fn region_of(&self, gate: GateId) -> usize {
         self.region_of_gate[gate.0] as usize
-    }
-
-    /// Distinct regions producing cut nets that `region` reads
-    /// (ascending region indices, all `< region`).
-    pub fn dependencies(&self, region: usize) -> &[u32] {
-        &self.dependencies[region]
     }
 
     /// Distinct regions reading cut nets that `region` produces
@@ -529,22 +521,23 @@ pub fn partition(compiled: &CompiledCircuit, options: &PartitionOptions) -> Part
         }
     }
 
-    // Dependency edges and cut nets, from each region's input list.
+    // Dependent edges and cut nets, from each region's input list.
     let n_regions = regions.len();
-    let mut dependencies: Vec<Vec<u32>> = vec![Vec::new(); n_regions];
     let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n_regions];
     let mut cut_nets: Vec<NetId> = Vec::new();
+    let mut producers: Vec<u32> = Vec::new();
     for (rid, region) in regions.iter().enumerate() {
+        producers.clear();
         for net in &region.inputs {
             let producer = driver_region[net.0];
             if producer != NO_REGION {
-                dependencies[rid].push(producer);
+                producers.push(producer);
                 cut_nets.push(*net);
             }
         }
-        dependencies[rid].sort_unstable();
-        dependencies[rid].dedup();
-        for &producer in &dependencies[rid] {
+        producers.sort_unstable();
+        producers.dedup();
+        for &producer in &producers {
             dependents[producer as usize].push(rid as u32);
         }
     }
@@ -554,7 +547,6 @@ pub fn partition(compiled: &CompiledCircuit, options: &PartitionOptions) -> Part
     Partition {
         regions,
         region_of_gate,
-        dependencies,
         dependents,
         cut_nets,
     }
@@ -594,8 +586,8 @@ mod tests {
                     "region input produced internally"
                 );
             }
-            for &dep in p.dependencies(rid) {
-                assert!((dep as usize) < rid, "regions topologically sorted");
+            for &dep in p.dependents(rid) {
+                assert!((dep as usize) > rid, "regions topologically sorted");
             }
             // Expansion gates belong to earlier regions, and the
             // expansion is fanin-closed up to the frontier.

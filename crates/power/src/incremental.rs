@@ -1,4 +1,20 @@
-//! Dirty-cone incremental statistics and delta power evaluation.
+//! The one statistics engine: per-net `(P, D)` under any
+//! [`PropagationMode`], kept consistent across circuit edits by
+//! dirty-cone refresh.
+//!
+//! [`IncrementalPropagator::new_with`] is the only place a mode becomes
+//! statistics; the flow, the server, `tr-opt analyze` and the
+//! benchmarks all build one. It picks the engine from the mode:
+//!
+//! * [`PropagationMode::Independent`] — the paper's gate-local §3
+//!   propagation;
+//! * [`PropagationMode::ExactBdd`], and
+//!   [`PropagationMode::PartitionedBdd`] at cut width 0 — one
+//!   whole-circuit [`CircuitBdds`] under the run's node budget;
+//! * [`PropagationMode::PartitionedBdd`] otherwise — the cone partition
+//!   (packed under the `part.pack` span), evaluated region by region in
+//!   topological order through one reusable [`RegionEvaluator`];
+//! * [`PropagationMode::Monte`] — a sampled estimate.
 //!
 //! The optimizer's inner loop scores configurations against per-net
 //! statistics computed *before* optimization. A config-only move never
@@ -9,33 +25,29 @@
 //! statistics vector alive across edits, together with the cell each
 //! gate had when the statistics were last derived. On
 //! [`IncrementalPropagator::refresh`] it first drops every dirty gate
-//! whose cell is unchanged: no backend reads a gate's configuration
+//! whose cell is unchanged: no engine reads a gate's configuration
 //! (they see cells and wiring only), so such a gate cannot move any
 //! statistic. A refresh left with no function-changing gate returns at
 //! once, without compiling the circuit or touching an engine. Otherwise
 //! the circuit is compiled once and the remaining gates' dirty cone is
-//! re-derived under the active backend:
+//! re-derived by the engine that was built:
 //!
-//! * [`PropagationMode::Independent`] — gate-local re-propagation over
-//!   the cone only, pruned the moment a recomputed net's statistics
-//!   come out unchanged;
-//! * [`PropagationMode::ExactBdd`] — [`CircuitBdds::repropagate`]
-//!   recomposes the cone's roots in the long-lived manager (GC-safe
-//!   protect/unprotect of replaced edges, no rebuild), then
-//!   [`CircuitBdds::exact_stats_into`] refreshes just those nets'
-//!   slots;
-//! * [`PropagationMode::PartitionedBdd`] — dirty gates map to dirty
-//!   *regions* of the cone partition; each dirty region re-evaluates in
-//!   a reusable per-propagator engine (bit-for-bit the constructor's
+//! * gate-local — re-propagation over the cone only, pruned the moment
+//!   a recomputed net's statistics come out unchanged;
+//! * whole-circuit BDD — [`CircuitBdds::repropagate`] recomposes the
+//!   cone's roots in the long-lived manager (GC-safe protect/unprotect
+//!   of replaced edges, no rebuild), then
+//!   [`CircuitBdds::exact_stats_into`] refreshes just those nets' slots;
+//! * partitioned — dirty gates map to dirty *regions*; each dirty region
+//!   re-evaluates in the same evaluator (bit-for-bit the constructor's
 //!   pass), and the cascade follows region dependency edges only while
 //!   output statistics actually change;
-//! * [`PropagationMode::Monte`] — re-estimates with the same step
-//!   budget, interval and seed (sampling has no cone structure to
-//!   exploit), so an unchanged circuit reproduces its estimate exactly.
+//! * Monte Carlo — re-estimates with the same step budget, interval and
+//!   seed (sampling has no cone structure to exploit), so an unchanged
+//!   circuit reproduces its estimate exactly.
 //!
-//! Refreshed entries are bit-for-bit what the corresponding full
-//! [`propagate_with_mode`](crate::propagate_with_mode) pass over the
-//! edited circuit would produce — pinned by the equivalence suite in
+//! Refreshed entries are bit-for-bit what a fresh propagator over the
+//! edited circuit would hold — pinned by the equivalence suite in
 //! `tests/incremental_equivalence.rs`.
 
 use crate::mode::monte_dt;
@@ -47,7 +59,7 @@ use tr_bdd::{BuildOptions, CircuitBdds, EngineStats};
 use tr_boolean::govern::Governor;
 use tr_boolean::{prob, SignalStats};
 use tr_gatelib::{CellId, Library};
-use tr_netlist::partition::Partition;
+use tr_netlist::partition::{partition, Partition};
 use tr_netlist::{Circuit, CompiledCircuit, GateId, NetId};
 
 /// Resource knobs for a governed [`IncrementalPropagator`] (see
@@ -56,8 +68,8 @@ use tr_netlist::{Circuit, CompiledCircuit, GateId, NetId};
 #[derive(Debug, Clone, Default)]
 pub struct PropagatorOptions {
     /// Override of the BDD backend's live-node budget
-    /// ([`tr_bdd::DEFAULT_NODE_LIMIT`] when `None`); ignored by the
-    /// other backends.
+    /// ([`tr_bdd::DEFAULT_NODE_LIMIT`] when `None`). The partitioned
+    /// backend caps each region's budget with it.
     pub node_limit: Option<usize>,
     /// Governor every backend pass checks cooperatively: the BDD build,
     /// every later statistics walk and repropagation (the governor stays
@@ -68,9 +80,16 @@ pub struct PropagatorOptions {
     /// degradation ladder retries a budget-blown build under the
     /// information-measure order ([`tr_bdd::order::info_measure`]).
     pub bdd_order: Option<Vec<usize>>,
+    /// Explicit packing cost budget of the partitioned backend
+    /// (truth-table mass per region), decoupled from the node limit.
+    /// `None` derives `max_region_nodes / 8`: region BDD size tracks
+    /// packing cost super-linearly, so callers chasing *accuracy*
+    /// (fewer, larger regions) set the cost explicitly and leave node
+    /// headroom (see [`packing_options`]).
+    pub region_cost: Option<usize>,
 }
 
-/// The `PartitionedBdd` backend's long-lived refresh state.
+/// The partitioned engine's long-lived refresh state.
 #[derive(Debug, Clone)]
 struct PartitionState {
     partition: Partition,
@@ -83,6 +102,24 @@ struct PartitionState {
     /// Fraction of gate-driven nets not provably exact under the cut,
     /// captured at construction (see [`Partition::approx_fraction`]).
     approx_fraction: f64,
+}
+
+/// The engine a mode was built into, retained for cone refreshes.
+#[derive(Debug, Clone)]
+enum Engine {
+    /// Gate-local propagation: nothing to retain.
+    Independent,
+    /// The long-lived whole-circuit manager.
+    Exact(Box<CircuitBdds>),
+    /// The partition plus its reusable single-region evaluator.
+    Partitioned(Box<PartitionState>),
+    /// The sampler's budget and seed, and the governor re-applied to
+    /// re-estimates (there is no engine to pin it to).
+    Monte {
+        steps: usize,
+        seed: u64,
+        governor: Option<Governor>,
+    },
 }
 
 fn cells_of(compiled: &CompiledCircuit) -> Vec<CellId> {
@@ -140,26 +177,15 @@ pub struct IncrementalPropagator {
     /// Each gate's cell as of the last statistics update: a dirty gate
     /// whose cell still matches changed only its configuration.
     cells: Vec<CellId>,
-    /// The long-lived engine of the `ExactBdd` backend (`None` for the
-    /// other modes).
-    bdds: Option<CircuitBdds>,
-    /// The `PartitionedBdd` backend's partition plus its reusable
-    /// single-region evaluator (`None` for the other modes). Dirty gates
-    /// map to dirty *regions*; only those re-evaluate.
-    partition: Option<PartitionState>,
-    /// Governor re-applied to Monte re-estimates (the BDD backend's
-    /// governor lives inside its engine instead).
-    monte_governor: Option<Governor>,
+    engine: Engine,
     repropagations: usize,
     refreshed_nets: usize,
 }
 
 impl IncrementalPropagator {
     /// Propagates once in full under `mode` and retains everything the
-    /// backend needs for later cone refreshes (for `ExactBdd`, the
-    /// built [`CircuitBdds`] engine itself). The initial statistics are
-    /// identical to [`propagate_with_mode`](crate::propagate_with_mode)
-    /// — same code paths.
+    /// engine needs for later cone refreshes (for the exact backend, the
+    /// built [`CircuitBdds`] engine itself).
     ///
     /// # Errors
     ///
@@ -187,7 +213,9 @@ impl IncrementalPropagator {
     /// [`IncrementalPropagator::new`] under explicit resource knobs: an
     /// optional node-budget override, an optional [`Governor`] (which
     /// stays attached, so every later [`IncrementalPropagator::refresh`]
-    /// is governed too), and an optional explicit BDD variable order.
+    /// is governed too), an optional explicit BDD variable order and an
+    /// optional partition packing cost. This is the only function that
+    /// picks an engine from a mode (see the module docs).
     ///
     /// # Errors
     ///
@@ -211,9 +239,7 @@ impl IncrementalPropagator {
             circuit.primary_inputs().len(),
             "one SignalStats per primary input"
         );
-        let mut bdds = None;
-        let mut partition_state = None;
-        let (net_stats, cells) = match mode {
+        let (net_stats, cells, engine) = match mode {
             PropagationMode::Independent => {
                 // Interning the cells is all this backend needs of a
                 // compile; it propagates over the circuit itself.
@@ -222,9 +248,60 @@ impl IncrementalPropagator {
                     .iter()
                     .map(|g| library.cell_id(&g.cell).expect("unknown cell"))
                     .collect();
-                (propagate(circuit, library, pi_stats), cells)
+                (
+                    propagate(circuit, library, pi_stats),
+                    cells,
+                    Engine::Independent,
+                )
             }
-            PropagationMode::ExactBdd => {
+            PropagationMode::PartitionedBdd {
+                max_region_nodes,
+                max_cut_width,
+            } if !mode.uses_exact_engine() => {
+                let compiled = CompiledCircuit::compile(circuit, library)?;
+                // The run-level node budget caps the per-region budget:
+                // every region engine is bounded separately, so the cap
+                // applies region by region, not to the sum.
+                let region_nodes = match options.node_limit {
+                    Some(limit) if max_region_nodes > 1 => max_region_nodes.min(limit.max(2)),
+                    _ => max_region_nodes,
+                };
+                let part = {
+                    let _g = tr_trace::span!("part.pack", gates = compiled.gates().len());
+                    partition(
+                        &compiled,
+                        &packing_options(region_nodes, max_cut_width, options.region_cost),
+                    )
+                };
+                let mut evaluator = RegionEvaluator::new(
+                    compiled.net_count(),
+                    region_nodes,
+                    options.governor.clone(),
+                );
+                let mut stats = vec![SignalStats::new(0.0, 0.0); compiled.net_count()];
+                for (pi, s) in compiled.primary_inputs().iter().zip(pi_stats) {
+                    stats[pi.0] = *s;
+                }
+                for region in part.regions() {
+                    let out = evaluator.evaluate(&compiled, library, region, &stats)?;
+                    for (net, s) in region.outputs.iter().zip(out) {
+                        stats[net.0] = *s;
+                    }
+                }
+                // Refresh bookkeeping, only once every region fitted.
+                let state = PartitionState {
+                    expanders: expander_map(&part, compiled.gates().len()),
+                    approx_fraction: part.approx_fraction(&compiled),
+                    partition: part,
+                    evaluator,
+                };
+                (
+                    stats,
+                    cells_of(&compiled),
+                    Engine::Partitioned(Box::new(state)),
+                )
+            }
+            PropagationMode::ExactBdd | PropagationMode::PartitionedBdd { .. } => {
                 let compiled = CompiledCircuit::compile(circuit, library)?;
                 let build = BuildOptions {
                     node_limit: options
@@ -232,7 +309,7 @@ impl IncrementalPropagator {
                         .unwrap_or(BuildOptions::default().node_limit),
                     ..BuildOptions::default()
                 };
-                let mut engine = match &options.bdd_order {
+                let mut bdds = match &options.bdd_order {
                     Some(order) => CircuitBdds::build_with_order(
                         &compiled,
                         library,
@@ -247,56 +324,8 @@ impl IncrementalPropagator {
                         options.governor.as_ref(),
                     )?,
                 };
-                let stats = engine.exact_stats(pi_stats)?;
-                bdds = Some(engine);
-                (stats, cells_of(&compiled))
-            }
-            PropagationMode::PartitionedBdd {
-                max_region_nodes,
-                max_cut_width,
-            } => {
-                // Evaluate serially through the same RegionEvaluator
-                // later refreshes use, so a refreshed region reproduces
-                // its statistics bit-for-bit.
-                let compiled = CompiledCircuit::compile(circuit, library)?;
-                // The run-level node budget caps the per-region budget:
-                // every region engine is bounded separately, so the cap
-                // applies region by region, not to the sum.
-                let region_nodes = match options.node_limit {
-                    Some(limit) if max_region_nodes > 1 => max_region_nodes.min(limit.max(2)),
-                    _ => max_region_nodes,
-                };
-                let part = tr_netlist::partition::partition(
-                    &compiled,
-                    &packing_options(region_nodes, max_cut_width, None),
-                );
-                let mut evaluator = RegionEvaluator::new(
-                    compiled.net_count(),
-                    region_nodes,
-                    1,
-                    options.governor.clone(),
-                );
-                let mut stats = vec![SignalStats::new(0.0, 0.0); compiled.net_count()];
-                for (pi, s) in compiled.primary_inputs().iter().zip(pi_stats) {
-                    stats[pi.0] = *s;
-                }
-                for region in part.regions() {
-                    let out = evaluator
-                        .evaluate(&compiled, library, region, &stats)?
-                        .to_vec();
-                    for (net, s) in region.outputs.iter().zip(out) {
-                        stats[net.0] = s;
-                    }
-                }
-                let expanders = expander_map(&part, compiled.gates().len());
-                let approx_fraction = part.approx_fraction(&compiled);
-                partition_state = Some(PartitionState {
-                    partition: part,
-                    evaluator,
-                    expanders,
-                    approx_fraction,
-                });
-                (stats, cells_of(&compiled))
+                let stats = bdds.exact_stats(pi_stats)?;
+                (stats, cells_of(&compiled), Engine::Exact(Box::new(bdds)))
             }
             PropagationMode::Monte { steps, seed } => {
                 let compiled = CompiledCircuit::compile(circuit, library)?;
@@ -309,7 +338,12 @@ impl IncrementalPropagator {
                     seed,
                     options.governor.as_ref(),
                 )?;
-                (stats, cells_of(&compiled))
+                let engine = Engine::Monte {
+                    steps,
+                    seed,
+                    governor: options.governor.clone(),
+                };
+                (stats, cells_of(&compiled), engine)
             }
         };
         Ok(IncrementalPropagator {
@@ -317,11 +351,7 @@ impl IncrementalPropagator {
             pi_stats: pi_stats.to_vec(),
             net_stats,
             cells,
-            bdds,
-            partition: partition_state,
-            // The Monte backend has no engine to pin a governor to; keep
-            // our own clone so refreshes stay governed.
-            monte_governor: options.governor.clone(),
+            engine,
             repropagations: 0,
             refreshed_nets: 0,
         })
@@ -336,13 +366,12 @@ impl IncrementalPropagator {
     /// subsequent refresh — how the degradation ladder stops enforcing a
     /// deadline once it has already degraded (the run must complete).
     pub fn set_governor(&mut self, governor: Option<Governor>) {
-        if let Some(bdds) = &mut self.bdds {
-            bdds.set_governor(governor.clone());
+        match &mut self.engine {
+            Engine::Independent => {}
+            Engine::Exact(bdds) => bdds.set_governor(governor),
+            Engine::Partitioned(state) => state.evaluator.set_governor(governor),
+            Engine::Monte { governor: g, .. } => *g = governor,
         }
-        if let Some(state) = &mut self.partition {
-            state.evaluator.set_governor(governor.clone());
-        }
-        self.monte_governor = governor;
     }
 
     /// The current per-net statistics (valid for the last circuit seen).
@@ -355,27 +384,30 @@ impl IncrementalPropagator {
     /// backends. `approx_fraction` is the fraction of gate-driven nets
     /// not *provably* exact under the cut (`0.0` certifies the
     /// statistics equal full-BDD up to rounding — see
-    /// [`Partition::approx_fraction`]).
+    /// [`Partition::approx_fraction`]). At cut width 0 the one region is
+    /// the whole circuit: `(1, 0, 0.0)`.
     pub fn partition_summary(&self) -> Option<(usize, usize, f64)> {
-        self.partition.as_ref().map(|s| {
-            (
+        match (&self.engine, self.mode) {
+            (Engine::Partitioned(s), _) => Some((
                 s.partition.regions().len(),
                 s.partition.cut_nets().len(),
                 s.approx_fraction,
-            )
-        })
+            )),
+            (Engine::Exact(_), PropagationMode::PartitionedBdd { .. }) => Some((1, 0, 0.0)),
+            _ => None,
+        }
     }
 
-    /// Cumulative engine health (caches, GC, peak live) of the exact
-    /// backend: the monolithic engine for `ExactBdd`, the region
-    /// evaluator's engine for `PartitionedBdd` (counters accumulate
-    /// across its per-region resets); `None` for the backends with no
-    /// BDD engine (`Independent`, `Monte`).
+    /// Cumulative engine health (caches, GC, peak live) of the BDD
+    /// engine: the whole-circuit manager, or the region evaluator's
+    /// engine (counters accumulate across its per-region resets);
+    /// `None` for the engines without BDDs (`Independent`, `Monte`).
     pub fn engine_stats(&self) -> Option<EngineStats> {
-        if let Some(bdds) = &self.bdds {
-            return Some(bdds.manager().engine_stats());
+        match &self.engine {
+            Engine::Exact(bdds) => Some(bdds.manager().engine_stats()),
+            Engine::Partitioned(state) => Some(state.evaluator.engine_stats()),
+            Engine::Independent | Engine::Monte { .. } => None,
         }
-        self.partition.as_ref().map(|s| s.evaluator.engine_stats())
     }
 
     /// Number of [`IncrementalPropagator::refresh`] calls so far.
@@ -392,14 +424,14 @@ impl IncrementalPropagator {
 
     /// Brings the statistics up to date after `dirty_gates` of `circuit`
     /// changed, re-deriving only their fanout cones (see the module
-    /// docs for what each backend does). `circuit` must be the *edited*
+    /// docs for what each engine does). `circuit` must be the *edited*
     /// circuit, structurally identical (same nets, gates and wiring) to
     /// the one the propagator last saw — exactly what
     /// [`Circuit::set_config`]/[`Circuit::set_cell`] guarantee.
     ///
     /// Dirty gates whose cell is the one the propagator last saw are
     /// dropped first: they changed only their configuration, which
-    /// preserves the gate's function (§4.2) and is read by no backend,
+    /// preserves the gate's function (§4.2) and is read by no engine,
     /// so they cannot move any statistic. When no gate is left the call
     /// returns an empty set without compiling `circuit` or running the
     /// backend; it still counts in
@@ -446,8 +478,8 @@ impl IncrementalPropagator {
             return Ok(Vec::new());
         }
         let compiled = CompiledCircuit::compile(circuit, library)?;
-        let dirty = match self.mode {
-            PropagationMode::Independent => {
+        let dirty = match &mut self.engine {
+            Engine::Independent => {
                 let mut gate_dirty = vec![false; compiled.gates().len()];
                 for &g in &changed {
                     gate_dirty[g.0] = true;
@@ -476,13 +508,12 @@ impl IncrementalPropagator {
                 }
                 dirty
             }
-            PropagationMode::ExactBdd => {
-                let bdds = self.bdds.as_mut().expect("ExactBdd retains its engine");
+            Engine::Exact(bdds) => {
                 let dirty = bdds.repropagate(&compiled, library, &changed)?;
                 bdds.exact_stats_into(&self.pi_stats, &dirty, &mut self.net_stats)?;
                 dirty
             }
-            PropagationMode::PartitionedBdd { .. } => {
+            Engine::Partitioned(state) => {
                 // Dirty gates dirty their owning regions; a re-evaluated
                 // region whose outputs change dirties its dependents.
                 // Regions are topologically indexed, so one pass in
@@ -490,10 +521,6 @@ impl IncrementalPropagator {
                 // is bit-for-bit the constructor's pass — a region whose
                 // inputs did not move reproduces identical statistics
                 // and the cascade stops there.
-                let state = self
-                    .partition
-                    .as_mut()
-                    .expect("PartitionedBdd retains its partition");
                 let n_regions = state.partition.regions().len();
                 let mut region_dirty = vec![false; n_regions];
                 for &g in &changed {
@@ -535,7 +562,11 @@ impl IncrementalPropagator {
                 }
                 dirty
             }
-            PropagationMode::Monte { steps, seed } => {
+            Engine::Monte {
+                steps,
+                seed,
+                governor,
+            } => {
                 // Sampling has no cone structure to exploit; re-estimate
                 // with the same budget, interval and seed so an
                 // unchanged circuit reproduces its estimate exactly.
@@ -543,10 +574,10 @@ impl IncrementalPropagator {
                     &compiled,
                     library,
                     &self.pi_stats,
-                    steps,
+                    *steps,
                     monte_dt(&self.pi_stats),
-                    seed,
-                    self.monte_governor.as_ref(),
+                    *seed,
+                    governor.as_ref(),
                 )?;
                 (0..self.net_stats.len()).map(NetId).collect()
             }
@@ -562,7 +593,7 @@ impl IncrementalPropagator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::propagate_with_mode;
+    use crate::propagate_exact_bdd;
     use tr_gatelib::CellKind;
     use tr_netlist::generators;
 
@@ -593,17 +624,23 @@ mod tests {
     }
 
     #[test]
-    fn initial_stats_match_propagate_with_mode() {
+    fn initial_stats_match_the_direct_passes() {
         let lib = Library::standard();
         let c = generators::carry_skip_adder(8, 4, &lib);
         let pi = pi_stats(c.primary_inputs().len());
-        for mode in [
-            PropagationMode::Independent,
-            PropagationMode::ExactBdd,
-            PropagationMode::monte(3),
+        let compiled = CompiledCircuit::compile(&c, &lib).unwrap();
+        for (mode, want) in [
+            (PropagationMode::Independent, propagate(&c, &lib, &pi)),
+            (
+                PropagationMode::ExactBdd,
+                propagate_exact_bdd(&c, &lib, &pi).unwrap(),
+            ),
+            (
+                PropagationMode::monte(3),
+                monte::estimate(&compiled, &lib, &pi, 50_000, monte_dt(&pi), 3),
+            ),
         ] {
             let prop = IncrementalPropagator::new(&c, &lib, &pi, mode).unwrap();
-            let want = propagate_with_mode(&c, &lib, &pi, mode).unwrap();
             assert_eq!(prop.net_stats(), &want[..], "{mode}");
         }
     }
@@ -622,8 +659,8 @@ mod tests {
             let mut prop = IncrementalPropagator::new(&c, &lib, &pi, mode).unwrap();
             toggle_cell(&mut c, victim);
             prop.refresh(&c, &lib, &[victim]).unwrap();
-            let want = propagate_with_mode(&c, &lib, &pi, mode).unwrap();
-            for (net, (x, y)) in prop.net_stats().iter().zip(&want).enumerate() {
+            let fresh = IncrementalPropagator::new(&c, &lib, &pi, mode).unwrap();
+            for (net, (x, y)) in prop.net_stats().iter().zip(fresh.net_stats()).enumerate() {
                 assert!(
                     (x.probability() - y.probability()).abs() < 1e-12,
                     "{mode} net {net}: P {x} vs {y}"

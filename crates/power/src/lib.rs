@@ -69,10 +69,6 @@ pub use circuit::{
 };
 pub use incremental::{IncrementalPropagator, PropagatorOptions};
 pub use mode::{
-    propagate_exact_bdd, propagate_exact_bdd_with_stats, propagate_with_mode, PropagationError,
-    PropagationMode,
+    propagate_exact_bdd, propagate_exact_bdd_with_stats, PropagationError, PropagationMode,
 };
 pub use model::{GatePower, NodePower, PowerModel, Scratch, MAX_CELL_ARITY};
-pub use partition::{
-    propagate_partitioned, propagate_partitioned_compiled, PartitionConfig, PartitionReport,
-};

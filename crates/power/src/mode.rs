@@ -1,17 +1,21 @@
 //! Selectable probability backends for whole-circuit propagation.
 //!
-//! Three ways to obtain per-net `(P, D)` statistics, one trade-off axis:
+//! Four ways to obtain per-net `(P, D)` statistics, one trade-off axis:
 //!
 //! | mode | correlation | cost | limit |
 //! |------|-------------|------|-------|
 //! | [`PropagationMode::Independent`] | assumed independent at every gate | one linear pass | none |
 //! | [`PropagationMode::ExactBdd`]    | exact (shared ROBDDs)             | circuit BDD size | *live*-node budget |
-//! | [`PropagationMode::PartitionedBdd`] | exact within regions, cut nets assumed independent | Σ region BDD sizes, parallel | per-region node budget |
+//! | [`PropagationMode::PartitionedBdd`] | exact within regions, cut nets assumed independent | Σ region BDD sizes | per-region node budget |
 //! | [`PropagationMode::Monte`]       | exact in the limit (`1/√N`)       | `steps` sweeps   | sampling noise |
 //!
 //! `Independent` is the paper's own §3 propagation; `ExactBdd` replaces
 //! the [`tr_boolean::MAX_VARS`]-capped truth-table `propagate_exact` with BDDs and no
 //! input cap; `Monte` is the assumption-free sampling estimate.
+//! [`IncrementalPropagator::new_with`](crate::IncrementalPropagator::new_with)
+//! is the one place a mode becomes statistics; the partitioned mode
+//! spans the other two as its corner cases (cut width 0 *is* the
+//! exact engine, cutting every net reproduces independent propagation).
 //!
 //! The BDD backend's node budget bounds the **live** working set, not
 //! the allocation total: the mark-and-sweep manager recycles dead
@@ -21,8 +25,6 @@
 //! Every suite circuit — including `rnd_e`'s dense random logic, which
 //! used to exhaust the budget with garbage — now completes.
 
-use crate::monte;
-use crate::propagate;
 use std::fmt;
 use tr_bdd::{BddError, BuildOptions, CircuitBddStats, CircuitBdds};
 use tr_boolean::govern::Interrupted;
@@ -41,17 +43,18 @@ pub enum PropagationMode {
     /// reconvergent correlation handled exactly, no primary-input cap.
     ExactBdd,
     /// Cone-partitioned exact statistics (`tr_power::partition`): one
-    /// small BDD engine per fanout-bounded region, cut nets carrying
-    /// their upstream `(P, D)` downstream as pseudo-inputs, regions
-    /// evaluated in parallel under a dataflow schedule. Exact within
-    /// every region; only cross-cut correlation is approximated. This
-    /// is the backend that scales past the whole-circuit BDD ceiling.
+    /// small BDD engine pass per fanout-bounded region, cut nets
+    /// carrying their upstream `(P, D)` downstream as pseudo-inputs,
+    /// regions evaluated in topological order. Exact within every
+    /// region; only cross-cut correlation is approximated. This is the
+    /// backend that scales past the whole-circuit BDD ceiling.
     PartitionedBdd {
         /// Per-region live-node budget (`0` ⇒ default 8192; `1` ⇒ cut
         /// every net, which reproduces the independent backend).
         max_region_nodes: usize,
-        /// Cut width — external inputs per region (`0` ⇒ no cuts,
-        /// which is bitwise [`PropagationMode::ExactBdd`]).
+        /// Cut width — external inputs per region (`0` ⇒ no cuts: the
+        /// whole-circuit engine of [`PropagationMode::ExactBdd`], under
+        /// the run's node budget).
         max_cut_width: usize,
     },
     /// Monte Carlo estimate: sample the stationary input process for
@@ -84,6 +87,21 @@ impl PropagationMode {
             max_region_nodes: crate::partition::DEFAULT_REGION_NODES,
             max_cut_width: crate::partition::DEFAULT_CUT_WIDTH,
         }
+    }
+
+    /// Whether this mode is served by the whole-circuit exact BDD engine:
+    /// [`PropagationMode::ExactBdd`], and the partitioned mode at cut
+    /// width 0 (no cuts, one region: the whole circuit). Such a build
+    /// degrades like the exact one, by an information-order retry.
+    pub fn uses_exact_engine(&self) -> bool {
+        matches!(
+            self,
+            PropagationMode::ExactBdd
+                | PropagationMode::PartitionedBdd {
+                    max_cut_width: 0,
+                    ..
+                }
+        )
     }
 
     /// The CLI/report spelling (`indep`, `bdd`, `part`, `monte`).
@@ -161,49 +179,6 @@ impl From<CircuitError> for PropagationError {
     }
 }
 
-/// Per-net statistics under the chosen backend.
-///
-/// # Errors
-///
-/// Returns [`PropagationError`] if the circuit does not compile against
-/// `library` or the BDD backend blows its node budget.
-///
-/// # Panics
-///
-/// Panics if `pi_stats.len()` differs from the primary-input count.
-pub fn propagate_with_mode(
-    circuit: &Circuit,
-    library: &Library,
-    pi_stats: &[SignalStats],
-    mode: PropagationMode,
-) -> Result<Vec<SignalStats>, PropagationError> {
-    match mode {
-        PropagationMode::Independent => Ok(propagate(circuit, library, pi_stats)),
-        PropagationMode::ExactBdd => propagate_exact_bdd(circuit, library, pi_stats),
-        PropagationMode::PartitionedBdd {
-            max_region_nodes,
-            max_cut_width,
-        } => crate::partition::propagate_partitioned(
-            circuit,
-            library,
-            pi_stats,
-            &crate::partition::PartitionConfig::new(max_region_nodes, max_cut_width),
-        )
-        .map(|(stats, _)| stats),
-        PropagationMode::Monte { steps, seed } => {
-            let compiled = CompiledCircuit::compile(circuit, library)?;
-            Ok(monte::estimate(
-                &compiled,
-                library,
-                pi_stats,
-                steps,
-                monte_dt(pi_stats),
-                seed,
-            ))
-        }
-    }
-}
-
 /// The Monte Carlo sample interval: resolve the fastest input's dwell
 /// time so no flip probability needs clamping and observed-flip density
 /// counting stays exact in expectation (see `monte::estimate`). Inputs
@@ -227,7 +202,8 @@ pub(crate) fn monte_dt(pi_stats: &[SignalStats]) -> f64 {
 ///
 /// # Errors
 ///
-/// As [`propagate_with_mode`].
+/// Returns [`PropagationError`] if the circuit does not compile against
+/// `library` or the BDD build blows the default node budget.
 ///
 /// # Panics
 ///
@@ -245,7 +221,7 @@ pub fn propagate_exact_bdd(
 ///
 /// # Errors
 ///
-/// As [`propagate_with_mode`].
+/// As [`propagate_exact_bdd`].
 ///
 /// # Panics
 ///
@@ -264,8 +240,21 @@ pub fn propagate_exact_bdd_with_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::propagate_exact;
-    use tr_netlist::generators;
+    use crate::{propagate, propagate_exact, IncrementalPropagator};
+    use tr_netlist::{generators, Circuit};
+
+    /// Net statistics of `mode` through the one engine constructor.
+    fn stats_of(
+        c: &Circuit,
+        lib: &Library,
+        pi: &[SignalStats],
+        mode: PropagationMode,
+    ) -> Vec<SignalStats> {
+        IncrementalPropagator::new(c, lib, pi, mode)
+            .unwrap()
+            .net_stats()
+            .to_vec()
+    }
 
     #[test]
     fn bdd_matches_truth_table_exact() {
@@ -291,11 +280,11 @@ mod tests {
         let lib = Library::standard();
         let c = generators::parity_tree(4, &lib);
         let pi = vec![SignalStats::new(0.5, 1.0e5); 4];
-        let indep = propagate_with_mode(&c, &lib, &pi, PropagationMode::Independent).unwrap();
+        let indep = stats_of(&c, &lib, &pi, PropagationMode::Independent);
         assert_eq!(indep, propagate(&c, &lib, &pi));
-        let bdd = propagate_with_mode(&c, &lib, &pi, PropagationMode::ExactBdd).unwrap();
-        assert_eq!(bdd.len(), c.net_count());
-        let mc = propagate_with_mode(&c, &lib, &pi, PropagationMode::monte(7)).unwrap();
+        let bdd = stats_of(&c, &lib, &pi, PropagationMode::ExactBdd);
+        assert_eq!(bdd, propagate_exact_bdd(&c, &lib, &pi).unwrap());
+        let mc = stats_of(&c, &lib, &pi, PropagationMode::monte(7));
         assert_eq!(mc.len(), c.net_count());
         // Parity of independent 0.5 inputs is exactly 1/2 — but only the
         // exact backends know it: the mapped XOR expansion reconverges,
@@ -313,12 +302,12 @@ mod tests {
         // not its 0→1, dragging the simulated probability to ~0.64. The
         // dwell-aware dt must reproduce the requested statistics.
         let lib = Library::standard();
-        let mut c = tr_netlist::Circuit::new("skew");
+        let mut c = Circuit::new("skew");
         let a = c.add_input("a");
         let (_, y) = c.add_gate(tr_gatelib::CellKind::Inv, vec![a], "y");
         c.mark_output(y);
         let pi = vec![SignalStats::new(0.9, 1.0e5)];
-        let mc = propagate_with_mode(&c, &lib, &pi, PropagationMode::monte(11)).unwrap();
+        let mc = stats_of(&c, &lib, &pi, PropagationMode::monte(11));
         assert!(
             (mc[a.0].probability() - 0.9).abs() < 0.02,
             "input probability drifted: {}",
@@ -338,6 +327,19 @@ mod tests {
     }
 
     #[test]
+    fn only_exact_and_uncut_partitioned_use_the_exact_engine() {
+        assert!(PropagationMode::ExactBdd.uses_exact_engine());
+        let uncut = PropagationMode::PartitionedBdd {
+            max_region_nodes: 4096,
+            max_cut_width: 0,
+        };
+        assert!(uncut.uses_exact_engine());
+        assert!(!PropagationMode::partitioned().uses_exact_engine());
+        assert!(!PropagationMode::Independent.uses_exact_engine());
+        assert!(!PropagationMode::monte(0).uses_exact_engine());
+    }
+
+    #[test]
     fn partitioned_mode_dispatches() {
         let lib = Library::standard();
         let c = generators::array_multiplier(6, &lib);
@@ -345,8 +347,8 @@ mod tests {
         let pi: Vec<SignalStats> = (0..n)
             .map(|i| SignalStats::new(0.2 + 0.05 * i as f64, 1.0e4))
             .collect();
-        let exact = propagate_with_mode(&c, &lib, &pi, PropagationMode::ExactBdd).unwrap();
-        let part = propagate_with_mode(&c, &lib, &pi, PropagationMode::partitioned()).unwrap();
+        let exact = stats_of(&c, &lib, &pi, PropagationMode::ExactBdd);
+        let part = stats_of(&c, &lib, &pi, PropagationMode::partitioned());
         assert_eq!(part.len(), c.net_count());
         // Dispatch sanity under the speed-biased defaults: bounded
         // cut-approximation error (the tight |ΔP| ≤ 0.05 accuracy point

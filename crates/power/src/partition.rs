@@ -1,158 +1,58 @@
 //! Partitioned exact statistics: per-region BDDs with cut-net
-//! pseudo-inputs, evaluated across a work-stealing pool.
+//! pseudo-inputs, evaluated region by region.
 //!
 //! The monolithic [`ExactBdd`](crate::PropagationMode::ExactBdd) backend
 //! tops out near a hundred gates of dense logic — global reconvergence
 //! makes whole-circuit BDDs blow up even when every local cone is tiny.
-//! This module breaks that ceiling with the classic cut-point scheme:
+//! The [`PartitionedBdd`](crate::PropagationMode::PartitionedBdd)
+//! backend breaks that ceiling with the classic cut-point scheme:
 //!
 //! 1. [`tr_netlist::partition`] carves the compiled circuit into
 //!    fanout-bounded **regions** (cut on high-fanout nets, bounded node
-//!    cost and cut width, topologically ordered);
-//! 2. each region gets its own small [`Bdd`] engine whose variables are
-//!    the region's external nets; **cut nets** enter as pseudo-inputs
-//!    carrying their upstream computed probability *and* transition
-//!    density, so Najm's boolean-difference density propagation stays
-//!    exact within the region;
+//!    cost and cut width, topologically ordered) under the budgets
+//!    [`packing_options`] derives;
+//! 2. each region gets its own small [`Bdd`] engine pass whose
+//!    variables are the region's external nets; **cut nets** enter as
+//!    pseudo-inputs carrying their upstream computed probability *and*
+//!    transition density, so Najm's boolean-difference density
+//!    propagation stays exact within the region;
 //! 3. region variables are ordered by the §4.2 information measure
 //!    (entropy × local cone size) via
 //!    [`tr_bdd::order::rank_by_information`];
-//! 4. regions are evaluated in parallel under a dataflow schedule —
-//!    a region becomes ready the moment the producers of its cut inputs
-//!    complete, not at level barriers — with one reusable engine per
-//!    worker ([`Bdd::reset`] between regions, GC thresholds apportioned
-//!    by [`tr_bdd::apportioned_gc_threshold`] so N small engines never
-//!    hoard N × the monolithic garbage budget).
+//! 4. [`IncrementalPropagator`](crate::IncrementalPropagator) walks the
+//!    regions in topological order through one reusable
+//!    [`RegionEvaluator`] ([`Bdd::reset`] between regions), for the
+//!    initial pass and every later refresh alike, so a re-evaluated
+//!    region reproduces its statistics bit for bit. The flow, the server
+//!    and `tr-opt analyze` all run this one serial engine.
 //!
 //! The only information lost is the correlation *between* a region's
-//! inputs. [`PartitionReport::approx_fraction`] reports the fraction of
-//! nets not *provably* exact under the cut (`0.0` certifies the result
-//! equals full-BDD up to rounding — see
-//! [`tr_netlist::partition::Partition::approx_fraction`]). Degenerate
-//! cuts recover the neighbouring backends exactly: a single region
-//! delegates to the monolithic [`CircuitBdds`] engine (bitwise equal to
-//! `ExactBdd`), and one-gate regions reproduce the gate-local
+//! inputs. [`IncrementalPropagator::partition_summary`] reports the
+//! fraction of nets not *provably* exact under the cut (`0.0` certifies
+//! the result equals full-BDD up to rounding — see
+//! [`Partition::approx_fraction`](tr_netlist::partition::Partition::approx_fraction)).
+//! Degenerate cuts recover the neighbouring backends: cut width 0 builds
+//! the monolithic [`CircuitBdds`](tr_bdd::CircuitBdds) engine itself
+//! (bitwise `ExactBdd`), and one-gate regions reproduce the gate-local
 //! independent propagation to rounding.
+//!
+//! [`IncrementalPropagator::partition_summary`]: crate::IncrementalPropagator::partition_summary
 
 use crate::mode::PropagationError;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
-use std::time::Instant;
 use tr_bdd::{
-    apportioned_gc_threshold, order::rank_by_information, Bdd, BddError, BuildOptions, CircuitBdds,
-    DensityScratch, Edge, ProbScratch, VisitScratch,
+    order::rank_by_information, Bdd, BddError, DensityScratch, Edge, ProbScratch, VisitScratch,
+    DEFAULT_GC_THRESHOLD,
 };
 use tr_boolean::govern::Governor;
 use tr_boolean::SignalStats;
 use tr_gatelib::Library;
-use tr_netlist::partition::{partition, Partition, PartitionOptions, Region};
-use tr_netlist::{Circuit, CompiledCircuit, NetId};
+use tr_netlist::partition::{PartitionOptions, Region};
+use tr_netlist::CompiledCircuit;
 
 /// Default per-region live-node budget (`max_region_nodes`).
 pub const DEFAULT_REGION_NODES: usize = 8192;
 /// Default cut width (`max_cut_width`): external inputs per region.
 pub const DEFAULT_CUT_WIDTH: usize = 24;
-
-/// Knobs for [`propagate_partitioned`].
-#[derive(Debug, Clone, Default)]
-pub struct PartitionConfig {
-    /// Per-region live-node budget. `0` means [`DEFAULT_REGION_NODES`];
-    /// `1` degenerates to cutting every net (gate-local regions).
-    pub max_region_nodes: usize,
-    /// Cut width: external-input cap per region. `0` disables cutting
-    /// entirely (one region — bitwise the monolithic `ExactBdd`).
-    pub max_cut_width: usize,
-    /// Worker threads for the dataflow pool. `0` picks
-    /// `available_parallelism()` capped at 8. Results are identical for
-    /// every thread count.
-    pub threads: usize,
-    /// Optional run governor, shared by every region engine.
-    pub governor: Option<Governor>,
-    /// Explicit packing cost budget (truth-table mass per region),
-    /// decoupled from the node limit. `None` derives
-    /// `max_region_nodes / 8`: region BDD size tracks packing cost
-    /// super-linearly, so callers chasing *accuracy* (fewer, larger
-    /// regions) should set the cost explicitly and leave node headroom.
-    pub region_cost: Option<usize>,
-}
-
-impl PartitionConfig {
-    /// A config with the given region/cut budgets and automatic threads.
-    pub fn new(max_region_nodes: usize, max_cut_width: usize) -> Self {
-        PartitionConfig {
-            max_region_nodes,
-            max_cut_width,
-            threads: 0,
-            governor: None,
-            region_cost: None,
-        }
-    }
-
-    /// Overrides the packing cost budget (see
-    /// [`PartitionConfig::region_cost`]).
-    #[must_use]
-    pub fn with_region_cost(mut self, cost: usize) -> Self {
-        self.region_cost = Some(cost);
-        self
-    }
-}
-
-/// What the partitioned evaluation did — surfaced by `FlowReport`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PartitionReport {
-    /// Number of regions evaluated.
-    pub regions: usize,
-    /// Number of nets cut (read across a region boundary).
-    pub cut_nets: usize,
-    /// Fraction of gate-driven nets not provably exact under the cut
-    /// (`0.0` certifies exactness — see
-    /// [`Partition::approx_fraction`]).
-    pub approx_fraction: f64,
-    /// Worker threads actually used.
-    pub threads: usize,
-    /// Largest per-region engine live-node count observed.
-    pub peak_region_nodes: usize,
-    /// Fraction of the pool's thread-time spent inside region
-    /// evaluations (`Σ busy / (threads × wall)`); 1.0 for a serial run.
-    /// Low values expose stragglers and dependency stalls in the
-    /// dataflow schedule.
-    pub pool_utilization: f64,
-    /// Combined op-cache hit fraction over every region engine.
-    pub cache_hit_rate: f64,
-}
-
-/// Counters shared by the dataflow pool's workers, folded into the
-/// [`PartitionReport`] after the run.
-#[derive(Default)]
-struct PoolCounters {
-    peak_nodes: AtomicUsize,
-    busy_us: AtomicU64,
-    cache_lookups: AtomicU64,
-    cache_hits: AtomicU64,
-}
-
-impl PoolCounters {
-    /// Folds one engine's cumulative cache counters in (workers call
-    /// this once, when they exit).
-    fn absorb_cache(&self, stats: &tr_bdd::CacheStats) {
-        self.cache_lookups.fetch_add(
-            stats.ite_lookups + stats.restrict_lookups,
-            Ordering::Relaxed,
-        );
-        self.cache_hits
-            .fetch_add(stats.ite_hits + stats.restrict_hits, Ordering::Relaxed);
-    }
-
-    fn hit_rate(&self) -> f64 {
-        let lookups = self.cache_lookups.load(Ordering::Relaxed);
-        if lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits.load(Ordering::Relaxed) as f64 / lookups as f64
-        }
-    }
-}
 
 /// Maps the mode-level `(max_region_nodes, max_cut_width)` pair onto
 /// packing options. `max_cut_width == 0` disables cutting (single
@@ -184,12 +84,12 @@ pub fn packing_options(
     }
 }
 
-/// Per-worker reusable state: one engine plus every scratch buffer a
-/// region evaluation touches. Reused across regions via [`Bdd::reset`]
-/// (capacity is retained; external scratches self-invalidate through
-/// the GC epoch).
+/// A reusable single-region evaluator: one engine plus every scratch
+/// buffer a region evaluation touches, fed the full per-net statistics
+/// vector. Reused across regions via [`Bdd::reset`] (capacity is
+/// retained; external scratches self-invalidate through the GC epoch).
 #[derive(Clone)]
-struct RegionScratch {
+pub struct RegionEvaluator {
     bdd: Bdd,
     prob: ProbScratch,
     density: DensityScratch,
@@ -218,9 +118,25 @@ struct RegionScratch {
     governor: Option<Governor>,
 }
 
-impl RegionScratch {
-    fn new(n_nets: usize, node_limit: usize, engines: usize, governor: Option<Governor>) -> Self {
-        RegionScratch {
+impl std::fmt::Debug for RegionEvaluator {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RegionEvaluator")
+            .field("node_limit", &self.node_limit)
+            .finish_non_exhaustive()
+    }
+}
+
+impl RegionEvaluator {
+    /// An evaluator over `n_nets` nets whose engine is budgeted for
+    /// `max_region_nodes` live nodes (`0` or `1` mean
+    /// [`DEFAULT_REGION_NODES`]; the floor is 512).
+    pub fn new(n_nets: usize, max_region_nodes: usize, governor: Option<Governor>) -> Self {
+        let node_limit = if max_region_nodes <= 1 {
+            DEFAULT_REGION_NODES
+        } else {
+            max_region_nodes.max(512)
+        };
+        RegionEvaluator {
             bdd: Bdd::with_node_limit(0, node_limit),
             prob: ProbScratch::new(),
             density: DensityScratch::new(),
@@ -240,512 +156,12 @@ impl RegionScratch {
             out: Vec::new(),
             gate_list: Vec::new(),
             node_limit,
-            // Proactive collection point: well under the region's hard
-            // limit (so NodeLimit means "the live functions don't fit",
-            // not "garbage piled up"), and apportioned so N coexisting
-            // engines never hoard N × the monolithic garbage budget.
-            gc_threshold: apportioned_gc_threshold(engines).min((node_limit / 2).max(1024)),
+            // Proactive collection point well under the region's hard
+            // limit, so NodeLimit means "the live functions don't fit",
+            // not "garbage piled up".
+            gc_threshold: DEFAULT_GC_THRESHOLD.min((node_limit / 2).max(1024)),
             governor,
         }
-    }
-}
-
-/// Evaluates one region: builds its BDDs over the external inputs and
-/// computes `(P, D)` for every gate output, leaving them in
-/// `scratch.out` (parallel to `region.outputs`). `stats_of` supplies
-/// the statistics of external nets (primary inputs and upstream cut
-/// nets).
-fn evaluate_region<F: Fn(NetId) -> SignalStats>(
-    scratch: &mut RegionScratch,
-    compiled: &CompiledCircuit,
-    library: &Library,
-    region: &Region,
-    stats_of: F,
-) -> Result<(), PropagationError> {
-    let n_inputs = region.inputs.len();
-    // The expansion prefix (cut-refinement recompositions from earlier
-    // regions) is composed like any other gate; statistics are emitted
-    // only for the region's own gates.
-    scratch.gate_list.clear();
-    scratch.gate_list.extend_from_slice(&region.expansion);
-    scratch.gate_list.extend_from_slice(&region.gates);
-    let n_gates = scratch.gate_list.len();
-    let n_own = region.gates.len();
-    let gate_list = std::mem::take(&mut scratch.gate_list);
-    scratch.epoch += 1;
-    let epoch = scratch.epoch;
-
-    // External input statistics, in the region's first-read order.
-    scratch.in_probs.clear();
-    scratch.in_dens.clear();
-    for (i, net) in region.inputs.iter().enumerate() {
-        let s = stats_of(*net);
-        scratch.in_probs.push(s.probability());
-        scratch.in_dens.push(s.density());
-        scratch.net_local[net.0] = i as u32;
-        scratch.net_stamp[net.0] = epoch;
-    }
-
-    // Local cone sizes: for each external input, how many region gates
-    // it transitively feeds. One pass over the (topologically ordered)
-    // region gates with per-gate input bitsets.
-    let words = n_inputs.div_ceil(64).max(1);
-    scratch.gate_support.clear();
-    scratch.gate_support.resize(n_gates * words, 0);
-    scratch.cones.clear();
-    scratch.cones.resize(n_inputs, 0);
-    for (pos, &gid) in gate_list.iter().enumerate() {
-        let gate = &compiled.gates()[gid.0];
-        for net in compiled.inputs(gate) {
-            debug_assert_eq!(scratch.net_stamp[net.0], epoch, "unstamped region net");
-            let local = scratch.net_local[net.0] as usize;
-            if local < n_inputs {
-                scratch.gate_support[pos * words + local / 64] |= 1u64 << (local % 64);
-            } else {
-                let src = local - n_inputs;
-                for w in 0..words {
-                    let bits = scratch.gate_support[src * words + w];
-                    scratch.gate_support[pos * words + w] |= bits;
-                }
-            }
-        }
-        scratch.net_local[gate.output.0] = (n_inputs + pos) as u32;
-        scratch.net_stamp[gate.output.0] = epoch;
-        for w in 0..words {
-            let mut bits = scratch.gate_support[pos * words + w];
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                scratch.cones[w * 64 + b] += 1;
-                bits &= bits - 1;
-            }
-        }
-    }
-
-    // §4.2 information ordering: high entropy × wide cone first.
-    let order = rank_by_information(&scratch.in_probs, &scratch.cones);
-
-    // Fresh engine pass over the region, retained capacity.
-    scratch.bdd.reset(n_inputs);
-    scratch.bdd.set_node_limit(scratch.node_limit);
-    scratch.bdd.set_gc_threshold(scratch.gc_threshold);
-    scratch.bdd.set_governor(scratch.governor.clone());
-
-    scratch.level_probs.clear();
-    scratch.level_probs.resize(n_inputs, 0.0);
-    scratch.level_dens.clear();
-    scratch.level_dens.resize(n_inputs, 0.0);
-    scratch.edges.clear();
-    scratch.edges.resize(n_inputs + n_gates, Edge::ZERO);
-    for (level, &input_pos) in order.iter().enumerate() {
-        scratch.level_probs[level] = scratch.in_probs[input_pos];
-        scratch.level_dens[level] = scratch.in_dens[input_pos];
-        let var = scratch.bdd.var(level);
-        // Protect the variable edges: a mid-region collection would
-        // otherwise free an input not yet reachable from a protected
-        // gate root, leaving a stale edge in the local table.
-        scratch.bdd.protect(var);
-        scratch.edges[input_pos] = var;
-    }
-
-    // Compose the region's gates (same NodeLimit-retry idiom as the
-    // monolithic builder: collect once, then give up).
-    for (pos, &gid) in gate_list.iter().enumerate() {
-        let gate = &compiled.gates()[gid.0];
-        scratch.args.clear();
-        for net in compiled.inputs(gate) {
-            scratch
-                .args
-                .push(scratch.edges[scratch.net_local[net.0] as usize]);
-        }
-        let function = library.cell_by_id(gate.cell).function();
-        let edge = match scratch.bdd.compose_fn(function, &scratch.args) {
-            Ok(edge) => edge,
-            Err(BddError::NodeLimit { .. }) => {
-                scratch.bdd.gc();
-                scratch.bdd.compose_fn(function, &scratch.args)?
-            }
-            Err(e) => return Err(e.into()),
-        };
-        scratch.bdd.protect(edge);
-        scratch.edges[n_inputs + pos] = edge;
-        scratch.bdd.maybe_gc();
-    }
-
-    // Statistics per output: P from the level probabilities, D by
-    // boolean differences against the support, each weighted by the
-    // input's upstream density.
-    scratch.seen.clear();
-    scratch.seen.resize(n_inputs, false);
-    scratch.out.clear();
-    for pos in n_gates - n_own..n_gates {
-        if let Some(governor) = &scratch.governor {
-            governor.check_now("partition-stats")?;
-        }
-        let edge = scratch.edges[n_inputs + pos];
-        let p = scratch
-            .bdd
-            .probability(edge, &scratch.level_probs, &mut scratch.prob);
-        scratch
-            .bdd
-            .support_into(edge, &mut scratch.seen, &mut scratch.visited);
-        let mut d = 0.0;
-        for level in 0..n_inputs {
-            let dens = scratch.level_dens[level];
-            if !scratch.seen[level] || dens == 0.0 {
-                continue;
-            }
-            let boundary = scratch.bdd.difference_probability(
-                edge,
-                level,
-                &scratch.level_probs,
-                &mut scratch.prob,
-                &mut scratch.density,
-            )?;
-            d += boundary * dens;
-        }
-        scratch.out.push(SignalStats::new(p, d.max(0.0)));
-    }
-    scratch.gate_list = gate_list;
-    Ok(())
-}
-
-/// Partitioned exact statistics for a compiled circuit. Returns the
-/// per-net statistics (one [`SignalStats`] per net, primary inputs
-/// echoed from `pi_stats`) plus a [`PartitionReport`].
-///
-/// # Errors
-///
-/// [`PropagationError::Bdd`] when a region exceeds its live-node budget
-/// even after collection; [`PropagationError::Interrupted`] when the
-/// governor trips (workers drain cooperatively).
-///
-/// # Panics
-///
-/// Panics if `pi_stats.len()` differs from the primary-input count.
-pub fn propagate_partitioned_compiled(
-    compiled: &CompiledCircuit,
-    library: &Library,
-    pi_stats: &[SignalStats],
-    config: &PartitionConfig,
-) -> Result<(Vec<SignalStats>, PartitionReport), PropagationError> {
-    let pis = compiled.primary_inputs();
-    assert_eq!(
-        pi_stats.len(),
-        pis.len(),
-        "one SignalStats per primary input"
-    );
-    let options = packing_options(
-        config.max_region_nodes,
-        config.max_cut_width,
-        config.region_cost,
-    );
-    let part = partition(compiled, &options);
-
-    // A single region is the monolithic backend: delegate so the result
-    // is bitwise `ExactBdd` (same engine, same order, same budget).
-    if part.regions().len() == 1 {
-        let _g = tr_trace::span!("part.propagate", regions = 1usize, threads = 1usize);
-        let mut bdds = CircuitBdds::build_governed(
-            compiled,
-            library,
-            BuildOptions::default(),
-            config.governor.as_ref(),
-        )?;
-        let stats = bdds.exact_stats(pi_stats)?;
-        let engine = bdds.manager().engine_stats();
-        return Ok((
-            stats,
-            PartitionReport {
-                regions: 1,
-                cut_nets: 0,
-                approx_fraction: 0.0,
-                threads: 1,
-                peak_region_nodes: engine.gc.peak_live,
-                pool_utilization: 1.0,
-                cache_hit_rate: engine.caches.hit_rate(),
-            },
-        ));
-    }
-
-    let node_limit = if config.max_region_nodes <= 1 {
-        DEFAULT_REGION_NODES
-    } else {
-        config.max_region_nodes.max(512)
-    };
-    let n_regions = part.regions().len();
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
-    } else {
-        config.threads
-    }
-    .min(n_regions)
-    .max(1);
-
-    let approx_fraction = part.approx_fraction(compiled);
-    let n_nets = compiled.net_count();
-    let counters = PoolCounters::default();
-    let _g = tr_trace::span!(
-        "part.propagate",
-        regions = n_regions,
-        threads = threads,
-        cut_nets = part.cut_nets().len()
-    );
-    let wall_start = Instant::now();
-
-    let stats = if threads == 1 {
-        let mut scratch = RegionScratch::new(n_nets, node_limit, threads, config.governor.clone());
-        let mut stats = vec![SignalStats::new(0.0, 0.0); n_nets];
-        for (pi, s) in pis.iter().zip(pi_stats) {
-            stats[pi.0] = *s;
-        }
-        for (r, region) in part.regions().iter().enumerate() {
-            {
-                let _g = tr_trace::span!(
-                    "part.region",
-                    id = r,
-                    gates = region.gates.len(),
-                    cut = region.inputs.len()
-                );
-                let stats = &stats;
-                evaluate_region(&mut scratch, compiled, library, region, |net| stats[net.0])?;
-            }
-            for (net, s) in region.outputs.iter().zip(&scratch.out) {
-                stats[net.0] = *s;
-            }
-            counters
-                .peak_nodes
-                .fetch_max(scratch.bdd.node_count(), Ordering::Relaxed);
-        }
-        counters.absorb_cache(&scratch.bdd.cache_stats());
-        stats
-    } else {
-        evaluate_parallel(
-            compiled,
-            library,
-            pi_stats,
-            &part,
-            node_limit,
-            threads,
-            config.governor.clone(),
-            &counters,
-        )?
-    };
-
-    let wall_us = wall_start.elapsed().as_micros().max(1) as u64;
-    let pool_utilization = if threads == 1 {
-        1.0
-    } else {
-        (counters.busy_us.load(Ordering::Relaxed) as f64 / (threads as f64 * wall_us as f64))
-            .clamp(0.0, 1.0)
-    };
-    Ok((
-        stats,
-        PartitionReport {
-            regions: n_regions,
-            cut_nets: part.cut_nets().len(),
-            approx_fraction,
-            threads,
-            peak_region_nodes: counters.peak_nodes.load(Ordering::Relaxed),
-            pool_utilization,
-            cache_hit_rate: counters.hit_rate(),
-        },
-    ))
-}
-
-/// Dataflow pool: regions become ready as their cut-net producers
-/// complete; workers pull from a shared deque and publish output
-/// statistics through per-net [`OnceLock`] slots (single producer per
-/// net, so publication is race-free and lock-free for readers).
-#[allow(clippy::too_many_arguments)]
-fn evaluate_parallel(
-    compiled: &CompiledCircuit,
-    library: &Library,
-    pi_stats: &[SignalStats],
-    part: &Partition,
-    node_limit: usize,
-    threads: usize,
-    governor: Option<Governor>,
-    counters: &PoolCounters,
-) -> Result<Vec<SignalStats>, PropagationError> {
-    let n_nets = compiled.net_count();
-    let n_regions = part.regions().len();
-
-    let slots: Vec<OnceLock<SignalStats>> = (0..n_nets).map(|_| OnceLock::new()).collect();
-    for (pi, s) in compiled.primary_inputs().iter().zip(pi_stats) {
-        slots[pi.0].set(*s).expect("primary input published once");
-    }
-    let pending: Vec<AtomicUsize> = (0..n_regions)
-        .map(|r| AtomicUsize::new(part.dependencies(r).len()))
-        .collect();
-    let queue: Mutex<VecDeque<u32>> = Mutex::new(
-        (0..n_regions)
-            .filter(|&r| pending[r].load(Ordering::Relaxed) == 0)
-            .map(|r| r as u32)
-            .collect(),
-    );
-    let ready = Condvar::new();
-    let remaining = AtomicUsize::new(n_regions);
-    let poisoned = AtomicBool::new(false);
-    let error: Mutex<Option<PropagationError>> = Mutex::new(None);
-
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let slots = &slots;
-            let pending = &pending;
-            let queue = &queue;
-            let ready = &ready;
-            let remaining = &remaining;
-            let poisoned = &poisoned;
-            let error = &error;
-            let governor = governor.clone();
-            scope.spawn(move || {
-                tr_trace::set_thread_name(&format!("part-worker-{w}"));
-                let mut scratch = RegionScratch::new(n_nets, node_limit, threads, governor);
-                loop {
-                    let next = {
-                        let mut q = queue.lock().expect("queue lock");
-                        loop {
-                            if poisoned.load(Ordering::Acquire)
-                                || remaining.load(Ordering::Acquire) == 0
-                            {
-                                break None;
-                            }
-                            if let Some(r) = q.pop_front() {
-                                break Some(r as usize);
-                            }
-                            q = ready.wait(q).expect("queue wait");
-                        }
-                    };
-                    let Some(r) = next else { break };
-                    let region = &part.regions()[r];
-                    let busy_start = Instant::now();
-                    let result = {
-                        let _g = tr_trace::span!(
-                            "part.region",
-                            id = r,
-                            gates = region.gates.len(),
-                            cut = region.inputs.len()
-                        );
-                        evaluate_region(&mut scratch, compiled, library, region, |net| {
-                            *slots[net.0].get().expect("dependency published")
-                        })
-                    };
-                    counters
-                        .busy_us
-                        .fetch_add(busy_start.elapsed().as_micros() as u64, Ordering::Relaxed);
-                    counters
-                        .peak_nodes
-                        .fetch_max(scratch.bdd.node_count(), Ordering::Relaxed);
-                    match result {
-                        Ok(()) => {
-                            for (net, s) in region.outputs.iter().zip(&scratch.out) {
-                                slots[net.0].set(*s).expect("net published once");
-                            }
-                            for &dep in part.dependents(r) {
-                                if pending[dep as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                    queue.lock().expect("queue lock").push_back(dep);
-                                    ready.notify_one();
-                                }
-                            }
-                            if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                                ready.notify_all();
-                            }
-                        }
-                        Err(e) => {
-                            let mut slot = error.lock().expect("error lock");
-                            if slot.is_none() {
-                                *slot = Some(e);
-                            }
-                            poisoned.store(true, Ordering::Release);
-                            ready.notify_all();
-                            break;
-                        }
-                    }
-                }
-                counters.absorb_cache(&scratch.bdd.cache_stats());
-            });
-        }
-    });
-
-    if let Some(e) = error.lock().expect("error lock").take() {
-        return Err(e);
-    }
-    let mut stats = Vec::with_capacity(n_nets);
-    for slot in slots {
-        stats.push(slot.into_inner().expect("every net evaluated"));
-    }
-    Ok(stats)
-}
-
-/// [`propagate_partitioned_compiled`] from an uncompiled [`Circuit`].
-///
-/// # Errors
-///
-/// As [`propagate_partitioned_compiled`], plus
-/// [`PropagationError::Circuit`] when compilation fails.
-///
-/// # Panics
-///
-/// Panics if `pi_stats.len()` differs from the primary-input count.
-pub fn propagate_partitioned(
-    circuit: &Circuit,
-    library: &Library,
-    pi_stats: &[SignalStats],
-    config: &PartitionConfig,
-) -> Result<(Vec<SignalStats>, PartitionReport), PropagationError> {
-    let compiled = CompiledCircuit::compile(circuit, library)?;
-    propagate_partitioned_compiled(&compiled, library, pi_stats, config)
-}
-
-/// A reusable single-region evaluator for incremental refresh: one
-/// engine plus scratches, fed the full per-net statistics vector.
-pub struct RegionEvaluator {
-    scratch: RegionScratch,
-}
-
-impl Clone for RegionEvaluator {
-    fn clone(&self) -> Self {
-        RegionEvaluator {
-            scratch: self.scratch.clone(),
-        }
-    }
-}
-
-impl std::fmt::Debug for RegionEvaluator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RegionEvaluator")
-            .field("node_limit", &self.scratch.node_limit)
-            .finish_non_exhaustive()
-    }
-}
-
-impl RegionEvaluator {
-    /// An evaluator whose engine is budgeted for `max_region_nodes`
-    /// live nodes, with the GC threshold apportioned as if `engines`
-    /// engines coexist.
-    pub fn new(
-        n_nets: usize,
-        max_region_nodes: usize,
-        engines: usize,
-        governor: Option<Governor>,
-    ) -> Self {
-        let node_limit = if max_region_nodes <= 1 {
-            DEFAULT_REGION_NODES
-        } else {
-            max_region_nodes.max(512)
-        };
-        RegionEvaluator {
-            scratch: RegionScratch::new(n_nets, node_limit, engines, governor),
-        }
-    }
-
-    /// Live nodes in the engine after the most recent evaluation —
-    /// the per-region analogue of [`PartitionReport::peak_region_nodes`].
-    pub fn node_count(&self) -> usize {
-        self.scratch.bdd.node_count()
     }
 
     /// The engine's cumulative health counters (caches, GC, peak live)
@@ -753,15 +169,24 @@ impl RegionEvaluator {
     /// survive the per-region [`Bdd::reset`], so this tells the whole
     /// backend's story for the report's `perf` block.
     pub fn engine_stats(&self) -> tr_bdd::EngineStats {
-        self.scratch.bdd.engine_stats()
+        self.bdd.engine_stats()
     }
 
-    /// Re-evaluates `region` from `stats` (indexed by net), returning
-    /// the fresh output statistics parallel to `region.outputs`.
+    /// Replaces the governor used by subsequent evaluations.
+    pub fn set_governor(&mut self, governor: Option<Governor>) {
+        self.governor = governor;
+    }
+
+    /// Evaluates `region` from `stats` (indexed by net; primary inputs
+    /// and upstream cut nets must be current): builds its BDDs over the
+    /// external inputs and returns `(P, D)` for every gate output,
+    /// parallel to `region.outputs`.
     ///
     /// # Errors
     ///
-    /// As [`propagate_partitioned_compiled`].
+    /// [`PropagationError::Bdd`] when the region exceeds its live-node
+    /// budget even after collection; [`PropagationError::Interrupted`]
+    /// when the governor trips.
     pub fn evaluate(
         &mut self,
         compiled: &CompiledCircuit,
@@ -774,22 +199,157 @@ impl RegionEvaluator {
             gates = region.gates.len(),
             cut = region.inputs.len()
         );
-        evaluate_region(&mut self.scratch, compiled, library, region, |net| {
-            stats[net.0]
-        })?;
-        Ok(&self.scratch.out)
-    }
+        let n_inputs = region.inputs.len();
+        // The expansion prefix (cut-refinement recompositions from earlier
+        // regions) is composed like any other gate; statistics are emitted
+        // only for the region's own gates.
+        self.gate_list.clear();
+        self.gate_list.extend_from_slice(&region.expansion);
+        self.gate_list.extend_from_slice(&region.gates);
+        let n_gates = self.gate_list.len();
+        let n_own = region.gates.len();
+        let gate_list = std::mem::take(&mut self.gate_list);
+        self.epoch += 1;
+        let epoch = self.epoch;
 
-    /// Replaces the governor used by subsequent evaluations.
-    pub fn set_governor(&mut self, governor: Option<Governor>) {
-        self.scratch.governor = governor;
+        // External input statistics, in the region's first-read order.
+        self.in_probs.clear();
+        self.in_dens.clear();
+        for (i, net) in region.inputs.iter().enumerate() {
+            let s = stats[net.0];
+            self.in_probs.push(s.probability());
+            self.in_dens.push(s.density());
+            self.net_local[net.0] = i as u32;
+            self.net_stamp[net.0] = epoch;
+        }
+
+        // Local cone sizes: for each external input, how many region gates
+        // it transitively feeds. One pass over the (topologically ordered)
+        // region gates with per-gate input bitsets.
+        let words = n_inputs.div_ceil(64).max(1);
+        self.gate_support.clear();
+        self.gate_support.resize(n_gates * words, 0);
+        self.cones.clear();
+        self.cones.resize(n_inputs, 0);
+        for (pos, &gid) in gate_list.iter().enumerate() {
+            let gate = &compiled.gates()[gid.0];
+            for net in compiled.inputs(gate) {
+                debug_assert_eq!(self.net_stamp[net.0], epoch, "unstamped region net");
+                let local = self.net_local[net.0] as usize;
+                if local < n_inputs {
+                    self.gate_support[pos * words + local / 64] |= 1u64 << (local % 64);
+                } else {
+                    let src = local - n_inputs;
+                    for w in 0..words {
+                        let bits = self.gate_support[src * words + w];
+                        self.gate_support[pos * words + w] |= bits;
+                    }
+                }
+            }
+            self.net_local[gate.output.0] = (n_inputs + pos) as u32;
+            self.net_stamp[gate.output.0] = epoch;
+            for w in 0..words {
+                let mut bits = self.gate_support[pos * words + w];
+                while bits != 0 {
+                    let b = bits.trailing_zeros() as usize;
+                    self.cones[w * 64 + b] += 1;
+                    bits &= bits - 1;
+                }
+            }
+        }
+
+        // §4.2 information ordering: high entropy × wide cone first.
+        let order = rank_by_information(&self.in_probs, &self.cones);
+
+        // Fresh engine pass over the region, retained capacity.
+        self.bdd.reset(n_inputs);
+        self.bdd.set_node_limit(self.node_limit);
+        self.bdd.set_gc_threshold(self.gc_threshold);
+        self.bdd.set_governor(self.governor.clone());
+
+        self.level_probs.clear();
+        self.level_probs.resize(n_inputs, 0.0);
+        self.level_dens.clear();
+        self.level_dens.resize(n_inputs, 0.0);
+        self.edges.clear();
+        self.edges.resize(n_inputs + n_gates, Edge::ZERO);
+        for (level, &input_pos) in order.iter().enumerate() {
+            self.level_probs[level] = self.in_probs[input_pos];
+            self.level_dens[level] = self.in_dens[input_pos];
+            let var = self.bdd.var(level);
+            // Protect the variable edges: a mid-region collection would
+            // otherwise free an input not yet reachable from a protected
+            // gate root, leaving a stale edge in the local table.
+            self.bdd.protect(var);
+            self.edges[input_pos] = var;
+        }
+
+        // Compose the region's gates (same NodeLimit-retry idiom as the
+        // monolithic builder: collect once, then give up).
+        for (pos, &gid) in gate_list.iter().enumerate() {
+            let gate = &compiled.gates()[gid.0];
+            self.args.clear();
+            for net in compiled.inputs(gate) {
+                self.args.push(self.edges[self.net_local[net.0] as usize]);
+            }
+            let function = library.cell_by_id(gate.cell).function();
+            let edge = match self.bdd.compose_fn(function, &self.args) {
+                Ok(edge) => edge,
+                Err(BddError::NodeLimit { .. }) => {
+                    self.bdd.gc();
+                    self.bdd.compose_fn(function, &self.args)?
+                }
+                Err(e) => return Err(e.into()),
+            };
+            self.bdd.protect(edge);
+            self.edges[n_inputs + pos] = edge;
+            self.bdd.maybe_gc();
+        }
+
+        // Statistics per output: P from the level probabilities, D by
+        // boolean differences against the support, each weighted by the
+        // input's upstream density.
+        self.seen.clear();
+        self.seen.resize(n_inputs, false);
+        self.out.clear();
+        for pos in n_gates - n_own..n_gates {
+            if let Some(governor) = &self.governor {
+                governor.check_now("partition-stats")?;
+            }
+            let edge = self.edges[n_inputs + pos];
+            let p = self
+                .bdd
+                .probability(edge, &self.level_probs, &mut self.prob);
+            self.bdd
+                .support_into(edge, &mut self.seen, &mut self.visited);
+            let mut d = 0.0;
+            for level in 0..n_inputs {
+                let dens = self.level_dens[level];
+                if !self.seen[level] || dens == 0.0 {
+                    continue;
+                }
+                let boundary = self.bdd.difference_probability(
+                    edge,
+                    level,
+                    &self.level_probs,
+                    &mut self.prob,
+                    &mut self.density,
+                )?;
+                d += boundary * dens;
+            }
+            self.out.push(SignalStats::new(p, d.max(0.0)));
+        }
+        self.gate_list = gate_list;
+        Ok(&self.out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{propagate, propagate_exact_bdd};
+    use crate::{
+        propagate, propagate_exact_bdd, IncrementalPropagator, PropagationMode, PropagatorOptions,
+    };
     use tr_netlist::generators;
 
     fn pi_stats(n: usize) -> Vec<SignalStats> {
@@ -803,18 +363,23 @@ mod tests {
             .collect()
     }
 
+    fn partitioned(max_region_nodes: usize, max_cut_width: usize) -> PropagationMode {
+        PropagationMode::PartitionedBdd {
+            max_region_nodes,
+            max_cut_width,
+        }
+    }
+
     #[test]
     fn cut_width_zero_is_bitwise_exact_bdd() {
         let lib = Library::standard();
         let c = generators::array_multiplier(6, &lib);
         let pi = pi_stats(c.primary_inputs().len());
         let exact = propagate_exact_bdd(&c, &lib, &pi).unwrap();
-        let (part, report) =
-            propagate_partitioned(&c, &lib, &pi, &PartitionConfig::new(4096, 0)).unwrap();
-        assert_eq!(report.regions, 1);
-        assert_eq!(report.approx_fraction, 0.0);
+        let part = IncrementalPropagator::new(&c, &lib, &pi, partitioned(4096, 0)).unwrap();
+        assert_eq!(part.partition_summary(), Some((1, 0, 0.0)));
         // Bitwise: same engine, same order, same arithmetic.
-        assert_eq!(part, exact);
+        assert_eq!(part.net_stats(), &exact[..]);
     }
 
     #[test]
@@ -823,36 +388,16 @@ mod tests {
         let c = generators::carry_select_adder(16, 4, &lib);
         let pi = pi_stats(c.primary_inputs().len());
         let indep = propagate(&c, &lib, &pi);
-        let (part, report) =
-            propagate_partitioned(&c, &lib, &pi, &PartitionConfig::new(1, 4)).unwrap();
-        assert!(report.regions >= c.gates().len());
-        for (n, (a, b)) in indep.iter().zip(&part).enumerate() {
+        let part = IncrementalPropagator::new(&c, &lib, &pi, partitioned(1, 4)).unwrap();
+        let (regions, _, _) = part.partition_summary().unwrap();
+        assert!(regions >= c.gates().len());
+        for (n, (a, b)) in indep.iter().zip(part.net_stats()).enumerate() {
             assert!(
                 (a.probability() - b.probability()).abs() < 1e-12,
                 "net {n}: P {a} vs {b}"
             );
             let rel = (a.density() - b.density()).abs() / a.density().max(1.0);
             assert!(rel < 1e-12, "net {n}: D {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn thread_counts_do_not_change_results() {
-        let lib = Library::standard();
-        let c = generators::array_multiplier(8, &lib);
-        let pi = pi_stats(c.primary_inputs().len());
-        let mut base: Option<Vec<SignalStats>> = None;
-        for threads in [1usize, 2, 4] {
-            let config = PartitionConfig {
-                threads,
-                ..PartitionConfig::new(2048, 16)
-            };
-            let (stats, report) = propagate_partitioned(&c, &lib, &pi, &config).unwrap();
-            assert!(report.regions > 1, "mult8 must split");
-            match &base {
-                None => base = Some(stats),
-                Some(b) => assert_eq!(*b, stats, "threads={threads} diverged"),
-            }
         }
     }
 
@@ -867,35 +412,35 @@ mod tests {
         // paper-grade |ΔP| ≤ 0.05 bound on the densest reconvergent
         // circuit in the suite while still clearing the monolithic
         // engine by well over 2× (pinned by `p8_partitioned_propagate`).
-        let (part, report) = propagate_partitioned(
+        let accurate = IncrementalPropagator::new_with(
             &c,
             &lib,
             &pi,
-            &PartitionConfig::new(1 << 16, 40).with_region_cost(2048),
+            partitioned(1 << 16, 40),
+            &PropagatorOptions {
+                region_cost: Some(2048),
+                ..PropagatorOptions::default()
+            },
         )
         .unwrap();
-        assert!(report.regions > 1);
-        assert!(report.approx_fraction > 0.0, "multiplier cuts approximate");
+        let (regions, _, approx_fraction) = accurate.partition_summary().unwrap();
+        assert!(regions > 1);
+        assert!(approx_fraction > 0.0, "multiplier cuts approximate");
         let max_dp = exact
             .iter()
-            .zip(&part)
+            .zip(accurate.net_stats())
             .map(|(a, b)| (a.probability() - b.probability()).abs())
             .fold(0.0f64, f64::max);
         assert!(max_dp <= 0.05, "max |ΔP| = {max_dp}");
 
         // The speed-biased default config trades accuracy for a much
         // deeper cut: the error stays bounded but measurably larger.
-        let (fast, fast_report) = propagate_partitioned(
-            &c,
-            &lib,
-            &pi,
-            &PartitionConfig::new(DEFAULT_REGION_NODES, DEFAULT_CUT_WIDTH),
-        )
-        .unwrap();
-        assert!(fast_report.regions > report.regions);
+        let fast =
+            IncrementalPropagator::new(&c, &lib, &pi, PropagationMode::partitioned()).unwrap();
+        assert!(fast.partition_summary().unwrap().0 > regions);
         let fast_dp = exact
             .iter()
-            .zip(&fast)
+            .zip(fast.net_stats())
             .map(|(a, b)| (a.probability() - b.probability()).abs())
             .fold(0.0f64, f64::max);
         assert!(fast_dp <= 0.10, "max |ΔP| = {fast_dp} at defaults");
@@ -906,42 +451,17 @@ mod tests {
         let lib = Library::standard();
         let c = generators::array_multiplier(8, &lib);
         let pi = pi_stats(c.primary_inputs().len());
-        let governor = Governor::with_trip_after(1);
-        let config = PartitionConfig {
-            governor: Some(governor),
-            ..PartitionConfig::new(1024, 12)
-        };
-        let err = propagate_partitioned(&c, &lib, &pi, &config).unwrap_err();
+        let err = IncrementalPropagator::new_with(
+            &c,
+            &lib,
+            &pi,
+            partitioned(1024, 12),
+            &PropagatorOptions {
+                governor: Some(Governor::with_trip_after(1)),
+                ..PropagatorOptions::default()
+            },
+        )
+        .unwrap_err();
         assert!(matches!(err, PropagationError::Interrupted(_)), "{err}");
-    }
-
-    #[test]
-    fn region_evaluator_reproduces_whole_circuit_pass() {
-        let lib = Library::standard();
-        let c = generators::carry_skip_adder(24, 4, &lib);
-        let compiled = CompiledCircuit::compile(&c, &lib).unwrap();
-        let pi = pi_stats(c.primary_inputs().len());
-        let config = PartitionConfig {
-            threads: 1,
-            ..PartitionConfig::new(1024, 12)
-        };
-        let (full, _) = propagate_partitioned_compiled(&compiled, &lib, &pi, &config).unwrap();
-        // Replay every region through one reusable evaluator.
-        let part = partition(&compiled, &packing_options(1024, 12, None));
-        let mut eval = RegionEvaluator::new(compiled.net_count(), 1024, 1, None);
-        let mut stats = vec![SignalStats::new(0.0, 0.0); compiled.net_count()];
-        for (pi_net, s) in compiled.primary_inputs().iter().zip(&pi) {
-            stats[pi_net.0] = *s;
-        }
-        for region in part.regions() {
-            let out = eval
-                .evaluate(&compiled, &lib, region, &stats)
-                .unwrap()
-                .to_vec();
-            for (net, s) in region.outputs.iter().zip(out) {
-                stats[net.0] = s;
-            }
-        }
-        assert_eq!(stats, full);
     }
 }

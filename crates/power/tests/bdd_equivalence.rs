@@ -19,7 +19,7 @@ use tr_gatelib::{CellKind, Library};
 use tr_netlist::suite::BenchmarkCase;
 use tr_netlist::{suite, Circuit};
 use tr_power::{
-    propagate, propagate_exact, propagate_exact_bdd, propagate_with_mode, PropagationMode,
+    propagate, propagate_exact, propagate_exact_bdd, IncrementalPropagator, PropagationMode,
 };
 
 fn library() -> &'static Library {
@@ -166,7 +166,7 @@ fn independent_is_provably_wrong_where_exact_matches_monte() {
     assert!((indep[y.0].probability() - 0.625).abs() < 1e-12);
 
     let steps = 50_000usize;
-    let mc = propagate_with_mode(
+    let mc = IncrementalPropagator::new(
         &c,
         lib,
         &pi,
@@ -175,7 +175,9 @@ fn independent_is_provably_wrong_where_exact_matches_monte() {
             seed: 0x3A17,
         },
     )
-    .expect("monte runs");
+    .expect("monte runs")
+    .net_stats()
+    .to_vec();
     let p = exact[y.0].probability();
     // σ of the sample mean over the correlated chain: the backend steps
     // at dt = 0.2·min-dwell, each input flips with p01 = dt/t0,

@@ -1,4 +1,6 @@
-//! Equivalence envelope of the cone-partitioned backend:
+//! Equivalence envelope of the cone-partitioned backend, through
+//! `IncrementalPropagator` — the one engine the flow, the server and
+//! `tr-opt analyze` run:
 //!
 //! 1. Partitioned vs monolithic full-BDD statistics on **every** suite
 //!    circuit where the monolithic backend runs, under an
@@ -9,17 +11,17 @@
 //!    is *bitwise* the monolithic `ExactBdd`; cutting every net
 //!    reproduces gate-local independent propagation to rounding.
 //! 3. Randomized cut budgets (proptest) never break sanity: statistics
-//!    stay valid, primary inputs pass through untouched, and the
-//!    parallel evaluation is bitwise deterministic across thread
-//!    counts.
+//!    stay valid and primary inputs pass through untouched.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use tr_boolean::SignalStats;
 use tr_gatelib::Library;
-use tr_netlist::{generators, suite};
-use tr_power::partition::{propagate_partitioned, PartitionConfig};
-use tr_power::{propagate, propagate_exact_bdd};
+use tr_netlist::{generators, suite, Circuit};
+use tr_power::{
+    propagate, propagate_exact_bdd, IncrementalPropagator, PropagationError, PropagationMode,
+    PropagatorOptions,
+};
 
 fn library() -> &'static Library {
     static LIB: OnceLock<Library> = OnceLock::new();
@@ -35,6 +37,35 @@ fn skewed_stats(n: usize) -> Vec<SignalStats> {
             SignalStats::new(p, d)
         })
         .collect()
+}
+
+/// A partition's `(regions, cut_nets, approx_fraction)`.
+type Summary = (usize, usize, f64);
+
+/// Partitioned statistics and the partition's summary under the given
+/// budgets.
+fn partitioned(
+    circuit: &Circuit,
+    pi: &[SignalStats],
+    max_region_nodes: usize,
+    max_cut_width: usize,
+    region_cost: Option<usize>,
+) -> Result<(Vec<SignalStats>, Summary), PropagationError> {
+    let prop = IncrementalPropagator::new_with(
+        circuit,
+        library(),
+        pi,
+        PropagationMode::PartitionedBdd {
+            max_region_nodes,
+            max_cut_width,
+        },
+        &PropagatorOptions {
+            region_cost,
+            ..PropagatorOptions::default()
+        },
+    )?;
+    let summary = prop.partition_summary().expect("partitioned backend");
+    Ok((prop.net_stats().to_vec(), summary))
 }
 
 /// Max |ΔP| over all nets.
@@ -74,9 +105,8 @@ fn partitioned_tracks_full_bdd_across_the_suite() {
         // few-large-regions shape blows a per-region budget, halve the
         // packing cost (smaller regions) until it fits.
         let mut cost = 2048usize;
-        let (part, report) = loop {
-            let config = PartitionConfig::new(1 << 20, 40).with_region_cost(cost);
-            match propagate_partitioned(&case.circuit, lib, &pi, &config) {
+        let (part, (regions, cut_nets, approx_fraction)) = loop {
+            match partitioned(&case.circuit, &pi, 1 << 20, 40, Some(cost)) {
                 Ok(result) => break result,
                 Err(e) if cost > 16 => {
                     eprintln!(
@@ -92,9 +122,9 @@ fn partitioned_tracks_full_bdd_across_the_suite() {
         let dd = max_rel_dd(&full, &part);
         eprintln!(
             "{}: regions {} cut {} approx {:.3} max|dP| {:.3e} max relΔD {:.3e}",
-            case.name, report.regions, report.cut_nets, report.approx_fraction, dp, dd
+            case.name, regions, cut_nets, approx_fraction, dp, dd
         );
-        if report.approx_fraction == 0.0 {
+        if approx_fraction == 0.0 {
             assert!(dp < 1e-12, "{}: certified exact but dP = {dp}", case.name);
             assert!(dd < 1e-9, "{}: certified exact but dD = {dd}", case.name);
         } else {
@@ -115,19 +145,16 @@ fn partitioned_tracks_full_bdd_across_the_suite() {
     );
 }
 
-/// Cut width 0 disables cutting: one region, delegated to the
-/// monolithic engine — bitwise equal to `ExactBdd`, certified exact.
+/// Cut width 0 disables cutting: one region, built by the monolithic
+/// engine — bitwise equal to `ExactBdd`, certified exact.
 #[test]
 fn cut_width_zero_is_bitwise_full_bdd() {
     let lib = library();
     let circuit = generators::array_multiplier(6, lib);
     let pi = skewed_stats(circuit.primary_inputs().len());
     let full = propagate_exact_bdd(&circuit, lib, &pi).expect("mult6 fits");
-    let (part, report) = propagate_partitioned(&circuit, lib, &pi, &PartitionConfig::new(0, 0))
-        .expect("single region fits");
-    assert_eq!(report.regions, 1);
-    assert_eq!(report.cut_nets, 0);
-    assert_eq!(report.approx_fraction, 0.0);
+    let (part, summary) = partitioned(&circuit, &pi, 0, 0, None).expect("single region fits");
+    assert_eq!(summary, (1, 0, 0.0));
     for (net, (a, b)) in full.iter().zip(&part).enumerate() {
         assert!(
             a.probability() == b.probability() && a.density() == b.density(),
@@ -152,11 +179,10 @@ fn cutting_every_net_reproduces_independent_propagation() {
     ] {
         let pi = skewed_stats(circuit.primary_inputs().len());
         let indep = propagate(&circuit, lib, &pi);
-        let (part, report) =
-            propagate_partitioned(&circuit, lib, &pi, &PartitionConfig::new(1, 16))
-                .expect("one-gate regions always fit");
+        let (part, (regions, _, _)) =
+            partitioned(&circuit, &pi, 1, 16, None).expect("one-gate regions always fit");
         assert!(
-            report.regions >= circuit.gates().len(),
+            regions >= circuit.gates().len(),
             "{}: every gate its own region",
             circuit.name()
         );
@@ -180,32 +206,6 @@ fn cutting_every_net_reproduces_independent_propagation() {
     }
 }
 
-/// The dataflow pool's schedule varies with thread count; the results
-/// must not.
-#[test]
-fn thread_count_never_changes_the_answer() {
-    let lib = library();
-    let circuit = generators::array_multiplier(6, lib);
-    let pi = skewed_stats(circuit.primary_inputs().len());
-    let run = |threads: usize| {
-        let mut config = PartitionConfig::new(4096, 12);
-        config.threads = threads;
-        propagate_partitioned(&circuit, lib, &pi, &config)
-            .expect("fits")
-            .0
-    };
-    let serial = run(1);
-    for threads in [2, 4, 8] {
-        let parallel = run(threads);
-        for (net, (a, b)) in serial.iter().zip(&parallel).enumerate() {
-            assert!(
-                a.probability() == b.probability() && a.density() == b.density(),
-                "threads {threads} net {net} diverged"
-            );
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     /// Any cut budget yields sane, input-preserving statistics whose
@@ -219,14 +219,9 @@ proptest! {
         let circuit = generators::array_multiplier(4, lib);
         let pi = skewed_stats(circuit.primary_inputs().len());
         let full = propagate_exact_bdd(&circuit, lib, &pi).expect("mult4 fits");
-        let (part, report) = propagate_partitioned(
-            &circuit,
-            lib,
-            &pi,
-            &PartitionConfig::new(region_nodes, cut_width),
-        )
-        .expect("mult4 fits any cut");
-        prop_assert!(report.regions >= 1);
+        let (part, (regions, _, _)) = partitioned(&circuit, &pi, region_nodes, cut_width, None)
+            .expect("mult4 fits any cut");
+        prop_assert!(regions >= 1);
         for (net, s) in part.iter().enumerate() {
             prop_assert!(
                 (0.0..=1.0).contains(&s.probability()),

@@ -286,9 +286,9 @@ fn artifact_fields_are_http_400() {
     join.join().unwrap().unwrap();
 }
 
-/// A cyclic netlist is a 400 on both endpoints, and a netlist that
-/// panics the mapper during /batch pre-validation is fenced like one on
-/// /optimize: the single worker lives on to answer /healthz.
+/// A cyclic netlist and one that reads an undeclared signal are 400s on
+/// both endpoints, naming the offending signal, and the single worker
+/// lives on to answer /healthz.
 #[test]
 fn bad_netlists_are_answered_and_the_worker_lives() {
     let (handle, join, addr) = spawn(tr_serve::ServeConfig {
@@ -315,11 +315,15 @@ fn bad_netlists_are_answered_and_the_worker_lives() {
     assert_eq!(resp.status, 400, "{}", resp.text());
     assert!(resp.text().contains("circuit `bad`"), "{}", resp.text());
     assert_eq!(get(addr, "/healthz").status, 200);
-    // Undeclared inputs still trip an assertion in the mapper.
+    // Undeclared inputs are a parse error, not a mapper panic.
     let undriven = "OUTPUT(y)\ny = NAND(a, b)\n";
+    let resp = post(addr, "/optimize", &optimize_body("undriven", undriven, ""));
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(resp.text().contains("signal `a`"), "{}", resp.text());
     let resp = post(addr, "/batch", &batch(undriven));
-    assert_eq!(resp.status, 500, "{}", resp.text());
-    assert!(resp.text().contains("request panicked"), "{}", resp.text());
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(resp.text().contains("circuit `bad`"), "{}", resp.text());
+    assert!(resp.text().contains("signal `a`"), "{}", resp.text());
     assert_eq!(get(addr, "/healthz").status, 200);
     handle.shutdown();
     join.join().unwrap().unwrap();

@@ -82,8 +82,8 @@ pub mod prelude {
     pub use tr_power::scenario::Scenario;
     pub use tr_power::{
         circuit_power, circuit_total_compiled, external_loads, external_loads_compiled, monte,
-        propagate, propagate_exact, propagate_exact_bdd, propagate_with_mode,
-        IncrementalPropagator, PowerModel, PropagationMode, Scratch,
+        propagate, propagate_exact, propagate_exact_bdd, IncrementalPropagator, PowerModel,
+        PropagationMode, Scratch,
     };
     pub use tr_reorder::{
         delay_power_tradeoff, instance_demand, optimize, optimize_to_fixpoint, optimize_with,

@@ -510,14 +510,16 @@ fn cmd_analyze(args: &[String]) -> Result<(), Error> {
     println!("cells: {}", summary.join(" "));
     let mode = opts.prob_mode()?;
     let stats_span = tr_trace::span!("analyze.stats", gates = circuit.gates().len());
-    let nets = propagate_with_mode(&circuit, &env.library, &stats, mode)?;
+    // One propagator: its statistics price the circuit, and `--fixpoint`
+    // keeps refreshing the same engine.
+    let mut propagator = IncrementalPropagator::new(&circuit, &env.library, &stats, mode)?;
     if mode != PropagationMode::Independent {
         let indep = propagate(&circuit, &env.library, &stats);
-        let err = max_probability_deviation(&nets, &indep);
+        let err = max_probability_deviation(propagator.net_stats(), &indep);
         println!("probability backend: {mode} (independence error up to {err:.3e} in P)");
     }
     drop(stats_span);
-    let power = circuit_power(&circuit, &env.model, &nets);
+    let power = circuit_power(&circuit, &env.model, propagator.net_stats());
     println!(
         "model power: {:.4e} W (output nodes {:.4e} W, internal {:.4e} W)",
         power.total,
@@ -532,7 +534,6 @@ fn cmd_analyze(args: &[String]) -> Result<(), Error> {
     if opts.fixpoint {
         // Read-only: run the fixed-point loop to report its convergence
         // behavior without touching the netlist.
-        let mut propagator = IncrementalPropagator::new(&circuit, &env.library, &stats, mode)?;
         let rep = optimize_to_fixpoint(
             &circuit,
             &env.library,

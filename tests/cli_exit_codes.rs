@@ -77,6 +77,30 @@ fn a_cyclic_netlist_is_a_pipeline_error() {
 }
 
 #[test]
+fn an_undeclared_signal_is_a_pipeline_error() {
+    let dir = std::env::temp_dir().join(format!("tr-opt-undeclared-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let bench = dir.join("undeclared.bench");
+    std::fs::write(&bench, "OUTPUT(y)\ny = NAND(a, b)\n").unwrap();
+    let blif = dir.join("undeclared.blif");
+    std::fs::write(&blif, ".model u\n.outputs y\n.names a b y\n11 1\n.end\n").unwrap();
+    for path in [&bench, &blif] {
+        let out = tr_opt()
+            .arg("optimize")
+            .arg(path)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "a parse error, not a panic");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains("signal `a` is read but never defined"),
+            "{stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn batch_partial_failure_exits_3_with_surviving_reports() {
     let dir = std::env::temp_dir().join(format!("tr-opt-exit3-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
