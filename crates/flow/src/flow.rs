@@ -217,7 +217,7 @@ pub fn sim_duration(stats: &[SignalStats], target_toggles: f64) -> f64 {
 /// first failure's message, and the deepest ladder rung reached —
 /// exactly what [`FlowReport`] records as `degraded`/`degrade_reason`/
 /// `degrade_rung`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct LadderState {
     degraded: bool,
     reason: Option<String>,
@@ -225,6 +225,11 @@ struct LadderState {
     /// Every rung taken in order, surfaced as
     /// [`FlowReport::degrade_events`].
     events: Vec<DegradeEvent>,
+    /// Whether every failed statistics attempt was a genuine engine
+    /// node-limit failure. The ladder's outcome is then a function of
+    /// the request (netlist, scenario, backend, node budget) rather than
+    /// of the clock or an injected fault.
+    node_limit_only: bool,
     /// Pipeline start, the zero of each event's `elapsed_ms`.
     t0: Instant,
 }
@@ -236,6 +241,7 @@ impl LadderState {
             reason: None,
             rung: None,
             events: Vec::new(),
+            node_limit_only: true,
             t0: Instant::now(),
         }
     }
@@ -271,7 +277,12 @@ pub struct StatsStage {
     stats: Vec<SignalStats>,
     scenario_label: String,
     propagator: IncrementalPropagator,
+    /// The backend the flow asked for.
+    requested: PropagationMode,
+    /// The backend that produced the statistics.
     prob: PropagationMode,
+    /// The node budget the ladder ran under.
+    node_budget: Option<usize>,
     net_stats: Vec<SignalStats>,
     independence_error: Option<f64>,
     ladder: LadderState,
@@ -306,17 +317,28 @@ impl StatsStage {
     }
 
     /// Captures the staged artifacts for a warm cache: a clone of the
-    /// propagator (BDD engine and all) detached from this run's
-    /// governor, plus the resolved input statistics it answers for.
-    /// Must be taken *before* [`Flow::run_staged`] consumes the stage —
-    /// optimization refreshes mutate the propagator's counters.
+    /// propagator detached from this run's governor (it shares the BDD
+    /// engine, see [`IncrementalPropagator`]), plus the resolved input
+    /// statistics it answers for. Must be taken *before*
+    /// [`Flow::run_staged`] consumes the stage — optimization refreshes
+    /// mutate the propagator's counters.
     ///
-    /// Returns `None` when the stage degraded: a degraded build may be
-    /// deadline- (i.e. timing-) dependent, so replaying it as if
-    /// deterministic would be wrong, and caching a fallback artifact
-    /// would pin the degradation past the transient that caused it.
+    /// A stage that degraded only because engines blew their node
+    /// budgets is as deterministic as an undegraded one: the same
+    /// netlist, scenario, backend and node budget walk the same ladder
+    /// to the same rung. Its snapshot carries the ladder's outcome —
+    /// `degraded`, the reason, the rung, and the events with their
+    /// `timings.degrade_ms` offsets — and both the requested and the
+    /// landed backend, so [`Flow::rehydrate`] reproduces the cold
+    /// report.
+    ///
+    /// Returns `None` when any failed attempt was something else: a
+    /// deadline trip depends on the clock, and an injected fault on the
+    /// test that armed it, so replaying either as if deterministic would
+    /// be wrong, and caching the fallback would pin the degradation past
+    /// the transient that caused it.
     pub fn snapshot(&self) -> Option<StatsSnapshot> {
-        if self.ladder.degraded {
+        if self.ladder.degraded && !self.ladder.node_limit_only {
             return None;
         }
         let mut propagator = self.propagator.clone();
@@ -325,8 +347,11 @@ impl StatsStage {
             stats: self.stats.clone(),
             scenario_label: self.scenario_label.clone(),
             propagator,
+            requested: self.requested,
             prob: self.prob,
+            node_budget: self.node_budget,
             independence_error: self.independence_error,
+            ladder: self.ladder.clone(),
         })
     }
 }
@@ -340,14 +365,24 @@ pub struct StatsSnapshot {
     stats: Vec<SignalStats>,
     scenario_label: String,
     propagator: IncrementalPropagator,
+    requested: PropagationMode,
     prob: PropagationMode,
+    node_budget: Option<usize>,
     independence_error: Option<f64>,
+    ladder: LadderState,
 }
 
 impl StatsSnapshot {
-    /// The backend the snapshot was prepared under.
+    /// The backend that produced the snapshot's statistics: the one the
+    /// flow asked for, unless the ladder degraded it.
     pub fn prob_mode(&self) -> PropagationMode {
         self.prob
+    }
+
+    /// Whether the statistics stage walked the degradation ladder (only
+    /// ever on node budgets; see [`StatsStage::snapshot`]).
+    pub fn degraded(&self) -> bool {
+        self.ladder.degraded
     }
 
     /// Live BDD nodes retained by the snapshot's engine (0 for the
@@ -852,7 +887,9 @@ impl Flow {
             stats,
             scenario_label,
             propagator,
+            requested: self.prob,
             prob,
+            node_budget: self.budget.bdd_node_budget,
             net_stats,
             independence_error,
             ladder,
@@ -862,17 +899,21 @@ impl Flow {
 
     /// Reconstitutes a [`StatsStage`] from a cached [`StatsSnapshot`]
     /// without re-running stage 2: the snapshot's propagator is cloned
-    /// (so the snapshot stays pristine for the next request) and handed
-    /// this flow's governor. Because a clone resumes bit-for-bit where
-    /// the cold build stood, [`Flow::run_staged`] then produces a report
-    /// identical to a fresh run's apart from wall-clock timings.
+    /// (so the snapshot stays pristine for the next request; the clone
+    /// shares its engine) and handed this flow's governor. A degraded
+    /// snapshot restores the ladder's outcome, and its later stages run
+    /// under cancellation only, as the cold run's did. Because a clone
+    /// resumes bit-for-bit where the cold build stood,
+    /// [`Flow::run_staged`] then produces a report identical to a fresh
+    /// run's apart from wall-clock timings.
     ///
     /// # Errors
     ///
     /// [`Error::Usage`] when this flow's probability backend or resolved
     /// input statistics differ from the ones the snapshot was prepared
-    /// under (a warm cache keying on them never hits this), plus
-    /// pre-flight cancellation.
+    /// under, or, for a degraded snapshot, when its node budget differs
+    /// or its degradation is off (a warm cache keying on them never hits
+    /// this), plus pre-flight cancellation.
     pub fn rehydrate(
         &self,
         env: &FlowEnv,
@@ -881,10 +922,18 @@ impl Flow {
     ) -> Result<StatsStage, Error> {
         let _ = env; // symmetry with prepare_stats; the models live in the snapshot's stats
         self.validate_artifacts()?;
-        if self.prob != snapshot.prob {
+        if self.prob != snapshot.requested {
             return Err(Error::Usage(format!(
                 "snapshot was prepared under --prob {}, flow wants {}",
-                snapshot.prob, self.prob
+                snapshot.requested, self.prob
+            )));
+        }
+        if snapshot.degraded()
+            && (!self.degrade || self.budget.bdd_node_budget != snapshot.node_budget)
+        {
+            return Err(Error::Usage(format!(
+                "snapshot degraded under node budget {:?}; flow has node budget {:?}, degrade {}",
+                snapshot.node_budget, self.budget.bdd_node_budget, self.degrade
             )));
         }
         let (stats, scenario_label) = self.resolve_input_stats(circuit)?;
@@ -899,17 +948,25 @@ impl Flow {
         let run_governor = self.full_governor();
         let _s = tr_trace::span!("flow.rehydrate", gates = circuit.gates().len());
         let mut propagator = snapshot.propagator.clone();
-        propagator.set_governor(run_governor.clone());
+        propagator.set_governor(if snapshot.degraded() {
+            self.cancel_governor()
+        } else {
+            run_governor.clone()
+        });
         let net_stats = propagator.net_stats().to_vec();
+        let mut ladder = snapshot.ladder.clone();
+        ladder.t0 = Instant::now();
         Ok(StatsStage {
             run_governor,
             stats,
             scenario_label,
             propagator,
+            requested: snapshot.requested,
             prob: snapshot.prob,
+            node_budget: snapshot.node_budget,
             net_stats,
             independence_error: snapshot.independence_error,
-            ladder: LadderState::new(),
+            ladder,
             stats_s: 0.0,
         })
     }
@@ -942,6 +999,7 @@ impl Flow {
             independence_error,
             mut ladder,
             stats_s,
+            ..
         } = stage;
         let n_inputs = circuit.primary_inputs().len();
         let t_total = Instant::now();
@@ -1330,10 +1388,10 @@ impl Flow {
             } else {
                 None
             };
-            let result = if rung
+            let injected = rung
                 .site
-                .is_some_and(|site| faultpoint::hit(site) == Some(Fault::NodeLimit))
-            {
+                .is_some_and(|site| faultpoint::hit(site) == Some(Fault::NodeLimit));
+            let result = if injected {
                 injected_rung = Some(rung.name);
                 Err(injected_node_limit(self.budget.bdd_node_budget))
             } else {
@@ -1375,6 +1433,8 @@ impl Flow {
             if cancelled || last || (reason.is_none() && !(self.degrade && recoverable)) {
                 return Err(err.into());
             }
+            ladder.node_limit_only &=
+                !injected && matches!(&err, PropagationError::Bdd(BddError::NodeLimit { .. }));
             reason.get_or_insert(err);
         }
         unreachable!("the independent fallback either lands or returns its error")
@@ -1987,6 +2047,120 @@ mod tests {
         assert!(!report.degraded);
         assert_eq!(report.degrade_rung, None);
         assert_eq!(report.prob_mode, "bdd");
+    }
+
+    /// A report's JSON without its wall-clock `timings` block.
+    fn without_timings(report: &FlowReport) -> String {
+        let json = report.to_json();
+        let end = json.rfind(",\"timings\":").expect("a timings block");
+        json[..end].to_string()
+    }
+
+    #[test]
+    fn node_budget_degradations_snapshot_and_replay_the_cold_report() {
+        let env = FlowEnv::new();
+        let suite = tr_netlist::suite::standard_suite(&env.library);
+        let case = |name: &str| {
+            let case = suite
+                .iter()
+                .find(|c| c.name == name)
+                .expect("suite circuit");
+            case.circuit.clone()
+        };
+        let adder = generators::ripple_carry_adder(8, &env.library);
+        for (circuit, mode, nodes, rung, landed) in [
+            // A region of csel32 blows the partitioned default budget.
+            (
+                case("csel32"),
+                PropagationMode::partitioned(),
+                None,
+                "shrink-regions",
+                "part",
+            ),
+            // The structural order blows 800 nodes; the information
+            // measure's fits.
+            (
+                case("rnd_b"),
+                PropagationMode::ExactBdd,
+                Some(800),
+                "info-reorder-retry",
+                "bdd",
+            ),
+            // No order fits 4 nodes.
+            (
+                adder,
+                PropagationMode::ExactBdd,
+                Some(4),
+                "independent-fallback",
+                "indep",
+            ),
+        ] {
+            let budget = match nodes {
+                Some(n) => RunBudget::default().bdd_nodes(n),
+                None => RunBudget::default(),
+            };
+            let flow = Flow::from_circuit(circuit.clone())
+                .scenario(Scenario::a(), 1)
+                .prob(mode)
+                .budget(budget);
+            let stage = flow.prepare_stats(&env, &circuit).unwrap();
+            let snapshot = stage.snapshot().expect("a node-budget ladder snapshots");
+            assert!(snapshot.degraded(), "{rung}");
+            assert_eq!(snapshot.prob_mode(), stage.prob_mode(), "{rung}");
+            let mut scratch = Scratch::new();
+            let (cold, _) = flow
+                .run_staged(&env, &circuit, "c".into(), 0.0, stage, &mut scratch)
+                .unwrap();
+            assert!(cold.degraded, "{rung}");
+            assert_eq!(cold.degrade_rung.as_deref(), Some(rung));
+            assert_eq!(cold.prob_mode, landed, "{rung}");
+
+            let stage = flow.rehydrate(&env, &circuit, &snapshot).unwrap();
+            assert!(stage.degraded(), "{rung}");
+            let (warm, _) = flow
+                .run_staged(&env, &circuit, "c".into(), 0.0, stage, &mut scratch)
+                .unwrap();
+            assert_eq!(without_timings(&warm), without_timings(&cold), "{rung}");
+            // The events keep the cold run's offsets.
+            assert_eq!(warm.degrade_events, cold.degrade_events, "{rung}");
+            assert_eq!(
+                (
+                    &warm.degrade_reason,
+                    warm.partition_regions,
+                    warm.partition_error_bound
+                ),
+                (
+                    &cold.degrade_reason,
+                    cold.partition_regions,
+                    cold.partition_error_bound
+                ),
+                "{rung}"
+            );
+
+            // Only the flow that made it may replay it.
+            let larger = flow.clone().budget(RunBudget::default().bdd_nodes(1 << 20));
+            let strict = flow.clone().degrade(false);
+            for other in [larger, strict] {
+                let err = other.rehydrate(&env, &circuit, &snapshot).unwrap_err();
+                assert!(err.is_usage(), "{rung}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn deadline_degradations_do_not_snapshot() {
+        let env = FlowEnv::new();
+        let adder = generators::ripple_carry_adder(8, &env.library);
+        for mode in [PropagationMode::ExactBdd, PropagationMode::partitioned()] {
+            let stage = Flow::from_circuit(adder.clone())
+                .scenario(Scenario::a(), 11)
+                .prob(mode)
+                .budget(RunBudget::default().deadline_ms(0))
+                .prepare_stats(&env, &adder)
+                .unwrap();
+            assert!(stage.degraded(), "{mode}");
+            assert!(stage.snapshot().is_none(), "{mode}");
+        }
     }
 
     #[test]

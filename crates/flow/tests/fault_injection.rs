@@ -58,6 +58,29 @@ fn injected_node_limit_recovers_on_the_info_reorder_rung() {
 }
 
 #[test]
+fn injected_node_limits_never_snapshot() {
+    let _guard = suite_lock();
+    let env = FlowEnv::new();
+    let adder = generators::ripple_carry_adder(8, &env.library);
+    for (site, mode) in [
+        ("exact-build", PropagationMode::ExactBdd),
+        ("part-build", PropagationMode::partitioned()),
+    ] {
+        arm(site, Fault::NodeLimit);
+        let stage = Flow::from_circuit(adder.clone())
+            .scenario(Scenario::a(), 11)
+            .prob(mode)
+            .prepare_stats(&env, &adder)
+            .expect("the next rung lands");
+        assert!(stage.degraded(), "{site}");
+        // An injected fault is not a function of the request: nothing to
+        // cache.
+        assert!(stage.snapshot().is_none(), "{site}");
+    }
+    disarm_all();
+}
+
+#[test]
 fn injected_node_limit_on_both_rungs_falls_back_to_independent() {
     let _guard = suite_lock();
     let env = FlowEnv::new();

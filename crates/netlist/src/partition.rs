@@ -164,57 +164,173 @@ impl Partition {
     /// equals the full-BDD result (up to float rounding); a positive
     /// fraction is a structural *indicator* of how much of the circuit
     /// may carry cut-approximation error — not a bound on its magnitude.
+    ///
+    /// Transitive primary-input supports are kept only for cut nets of
+    /// exact regions, the only ones a disjointness test ever reads: an
+    /// input that is not exact already decides its region, two primary
+    /// inputs are disjoint by construction, and a primary input against
+    /// a cut net is one bit test.
     pub fn approx_fraction(&self, compiled: &CompiledCircuit) -> f64 {
-        let n_pis = compiled.primary_inputs().len();
-        let words = n_pis.div_ceil(64);
-        let n_nets = compiled.net_count();
-        // Transitive PI support per net, as bitsets (exact: one
-        // topological pass over the gates).
-        let mut support = vec![0u64; n_nets * words];
-        for (pos, pi) in compiled.primary_inputs().iter().enumerate() {
-            support[pi.0 * words + pos / 64] |= 1u64 << (pos % 64);
-        }
-        for &gid in compiled.order() {
-            let gate = &compiled.gates()[gid.0];
-            let out = gate.output.0;
-            for i in 0..gate.arity as usize {
-                let input = compiled.inputs(gate)[i].0;
-                for w in 0..words {
-                    let bits = support[input * words + w];
-                    support[out * words + w] |= bits;
-                }
-            }
-        }
-        let disjoint = |a: usize, b: usize| {
-            (0..words).all(|w| support[a * words + w] & support[b * words + w] == 0)
-        };
-
-        let mut exact = vec![false; n_nets];
+        let mut supports = CutSupports::new(compiled);
+        let mut exact = vec![false; compiled.net_count()];
         for pi in compiled.primary_inputs() {
             exact[pi.0] = true;
         }
         let mut approx_nets = 0usize;
         let mut total_nets = 0usize;
         for region in &self.regions {
-            let inputs_exact = region.inputs.iter().all(|net| exact[net.0]);
-            let inputs_disjoint = region
-                .inputs
-                .iter()
-                .enumerate()
-                .all(|(i, a)| region.inputs[..i].iter().all(|b| disjoint(a.0, b.0)));
-            let region_exact = inputs_exact && inputs_disjoint;
-            for out in &region.outputs {
-                exact[out.0] = region_exact;
-                total_nets += 1;
-                if !region_exact {
-                    approx_nets += 1;
-                }
+            total_nets += region.outputs.len();
+            let region_exact =
+                region.inputs.iter().all(|net| exact[net.0]) && supports.disjoint(&region.inputs);
+            if !region_exact {
+                approx_nets += region.outputs.len();
+                continue;
             }
+            for out in &region.outputs {
+                exact[out.0] = true;
+            }
+            supports.store(compiled, region, &self.cut_nets);
         }
         if total_nets == 0 {
             0.0
         } else {
             approx_nets as f64 / total_nets as f64
+        }
+    }
+}
+
+/// The transitive primary-input supports [`Partition::approx_fraction`]
+/// tests for disjointness, kept for cut nets only, as bitsets over the
+/// primary inputs.
+struct CutSupports {
+    /// Words per support bitset.
+    words: usize,
+    /// net -> primary-input position (`u32::MAX` for gate-driven nets).
+    pi_pos: Vec<u32>,
+    /// net -> offset of its support in `bits` (`usize::MAX` until its
+    /// region proves exact).
+    at: Vec<usize>,
+    bits: Vec<u64>,
+    /// Region-local scratch: net -> local slot (input index, or
+    /// `n_inputs + local gate index`), valid where `stamp == epoch`.
+    local: Vec<u32>,
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// Per local gate, its support over the region's inputs.
+    local_bits: Vec<u64>,
+    pis: Vec<usize>,
+    cuts: Vec<usize>,
+}
+
+impl CutSupports {
+    fn new(compiled: &CompiledCircuit) -> Self {
+        let n_nets = compiled.net_count();
+        let mut pi_pos = vec![u32::MAX; n_nets];
+        for (pos, pi) in compiled.primary_inputs().iter().enumerate() {
+            pi_pos[pi.0] = pos as u32;
+        }
+        CutSupports {
+            words: compiled.primary_inputs().len().div_ceil(64),
+            pi_pos,
+            at: vec![usize::MAX; n_nets],
+            bits: Vec::new(),
+            local: vec![0; n_nets],
+            stamp: vec![0; n_nets],
+            epoch: 0,
+            local_bits: Vec::new(),
+            pis: Vec::new(),
+            cuts: Vec::new(),
+        }
+    }
+
+    /// Whether `inputs` (primary inputs, and cut nets whose supports are
+    /// stored) have pairwise disjoint supports: distinct primary inputs
+    /// always do, a primary input against a cut net is one bit test, and
+    /// two cut nets compare their bitsets.
+    fn disjoint(&mut self, inputs: &[NetId]) -> bool {
+        self.pis.clear();
+        self.cuts.clear();
+        for net in inputs {
+            match self.pi_pos[net.0] {
+                u32::MAX => self.cuts.push(self.at[net.0]),
+                pos => self.pis.push(pos as usize),
+            }
+        }
+        let words = self.words;
+        let support = |at: usize| &self.bits[at..at + words];
+        self.cuts.iter().enumerate().all(|(i, &a)| {
+            let sa = support(a);
+            self.pis
+                .iter()
+                .all(|&p| sa[p / 64] & (1u64 << (p % 64)) == 0)
+                && self.cuts[..i]
+                    .iter()
+                    .all(|&b| sa.iter().zip(support(b)).all(|(x, y)| x & y == 0))
+        })
+    }
+
+    /// Stores the support of each of `region`'s outputs that is a cut
+    /// net: the union of the supports of the region inputs in its local
+    /// cone. Every region input must be a primary input or a stored cut
+    /// net.
+    fn store(&mut self, compiled: &CompiledCircuit, region: &Region, cut_nets: &[NetId]) {
+        let is_cut = |net: &NetId| cut_nets.binary_search(net).is_ok();
+        if !region.outputs.iter().any(is_cut) {
+            return;
+        }
+        let words = self.words;
+        let n_inputs = region.inputs.len();
+        let in_words = n_inputs.div_ceil(64).max(1);
+        self.epoch += 1;
+        for (i, net) in region.inputs.iter().enumerate() {
+            self.local[net.0] = i as u32;
+            self.stamp[net.0] = self.epoch;
+        }
+        let n_gates = region.expansion.len() + region.gates.len();
+        self.local_bits.clear();
+        self.local_bits.resize(n_gates * in_words, 0);
+        let gates = region.expansion.iter().chain(&region.gates);
+        for (pos, &gid) in gates.enumerate() {
+            let gate = &compiled.gates()[gid.0];
+            let row = pos * in_words;
+            for net in compiled.inputs(gate) {
+                debug_assert_eq!(self.stamp[net.0], self.epoch, "non-local region net");
+                let local = self.local[net.0] as usize;
+                if local < n_inputs {
+                    self.local_bits[row + local / 64] |= 1u64 << (local % 64);
+                } else {
+                    let src = (local - n_inputs) * in_words;
+                    for w in 0..in_words {
+                        self.local_bits[row + w] |= self.local_bits[src + w];
+                    }
+                }
+            }
+            self.local[gate.output.0] = (n_inputs + pos) as u32;
+            self.stamp[gate.output.0] = self.epoch;
+            // Expansion gates belong to earlier regions, which stored
+            // their cut outputs already.
+            if pos < region.expansion.len() || !is_cut(&gate.output) {
+                continue;
+            }
+            let at = self.bits.len();
+            self.at[gate.output.0] = at;
+            self.bits.resize(at + words, 0);
+            for w in 0..in_words {
+                let mut set = self.local_bits[row + w];
+                while set != 0 {
+                    let input = region.inputs[w * 64 + set.trailing_zeros() as usize];
+                    set &= set - 1;
+                    match self.pi_pos[input.0] {
+                        u32::MAX => {
+                            let from = self.at[input.0];
+                            for k in 0..words {
+                                self.bits[at + k] |= self.bits[from + k];
+                            }
+                        }
+                        p => self.bits[at + p as usize / 64] |= 1u64 << (p % 64),
+                    }
+                }
+            }
         }
     }
 }
@@ -276,6 +392,12 @@ fn cone_order(compiled: &CompiledCircuit) -> Vec<GateId> {
 /// and [`PartitionOptions`] for the knobs. Deterministic: identical
 /// inputs always produce the identical partition.
 pub fn partition(compiled: &CompiledCircuit, options: &PartitionOptions) -> Partition {
+    pack(compiled, options, true)
+}
+
+/// [`partition`], optionally without rejecting hopeless refinement
+/// probes before walking them (the walk alone decides the same, slower).
+fn pack(compiled: &CompiledCircuit, options: &PartitionOptions, skip_hopeless: bool) -> Partition {
     let n_nets = compiled.net_count();
     let n_gates = compiled.gates().len();
     const NO_REGION: u32 = u32::MAX;
@@ -383,6 +505,25 @@ pub fn partition(compiled: &CompiledCircuit, options: &PartitionOptions) -> Part
         for (i, &g) in compiled.order().iter().enumerate() {
             topo_pos[g.0] = i as u32;
         }
+        // Heaviest gate-cost path behind each net, capped just past the
+        // budget. A probe walks every gate of its cone, so while its
+        // region has expanded nothing (no gate is excluded from the
+        // walk, and the budget is still `expand_cost`) a cone whose
+        // path alone exceeds the budget cannot fit: skip it unwalked.
+        let cap = options.expand_cost.saturating_add(1).min(u32::MAX as usize) as u32;
+        let mut path_cost = vec![0u32; if skip_hopeless { n_nets } else { 0 }];
+        if skip_hopeless {
+            for &gid in compiled.order() {
+                let gate = &compiled.gates()[gid.0];
+                let deepest = compiled
+                    .inputs(gate)
+                    .iter()
+                    .map(|net| path_cost[net.0])
+                    .max()
+                    .unwrap_or(0);
+                path_cost[gate.output.0] = deepest.saturating_add(gate_cost(gate) as u32).min(cap);
+            }
+        }
         let mut expanded_stamp = vec![NO_REGION; n_gates];
         let mut candidate_stamp = vec![NO_REGION; n_nets];
         let mut frontier_stamp = vec![NO_REGION; n_nets];
@@ -405,6 +546,9 @@ pub fn partition(compiled: &CompiledCircuit, options: &PartitionOptions) -> Part
                 let d0 = driver_gate[cut.0];
                 if d0 == u32::MAX || expanded_stamp[d0 as usize] == rid {
                     continue; // a primary input, or already recomposed
+                }
+                if skip_hopeless && expansion.is_empty() && path_cost[cut.0] as usize > budget {
+                    continue;
                 }
                 // Probe the full cone behind `cut`, stopping at primary
                 // inputs, at the region's other pseudo-inputs, and at
@@ -708,6 +852,168 @@ mod tests {
         check_invariants(&p, &cc);
         assert!(p.regions().len() > 1);
         assert_eq!(p.approx_fraction(&cc), 0.0);
+    }
+
+    /// The whole-circuit PI-support table `approx_fraction` used to
+    /// build: the reference its cut-only supports must match bit for
+    /// bit.
+    fn approx_fraction_reference(p: &Partition, compiled: &CompiledCircuit) -> f64 {
+        let n_pis = compiled.primary_inputs().len();
+        let words = n_pis.div_ceil(64);
+        let n_nets = compiled.net_count();
+        let mut support = vec![0u64; n_nets * words];
+        for (pos, pi) in compiled.primary_inputs().iter().enumerate() {
+            support[pi.0 * words + pos / 64] |= 1u64 << (pos % 64);
+        }
+        for &gid in compiled.order() {
+            let gate = &compiled.gates()[gid.0];
+            let out = gate.output.0;
+            for input in compiled.inputs(gate) {
+                for w in 0..words {
+                    let bits = support[input.0 * words + w];
+                    support[out * words + w] |= bits;
+                }
+            }
+        }
+        let disjoint = |a: usize, b: usize| {
+            (0..words).all(|w| support[a * words + w] & support[b * words + w] == 0)
+        };
+        let mut exact = vec![false; n_nets];
+        for pi in compiled.primary_inputs() {
+            exact[pi.0] = true;
+        }
+        let mut approx_nets = 0usize;
+        let mut total_nets = 0usize;
+        for region in p.regions() {
+            let inputs_exact = region.inputs.iter().all(|net| exact[net.0]);
+            let inputs_disjoint = region
+                .inputs
+                .iter()
+                .enumerate()
+                .all(|(i, a)| region.inputs[..i].iter().all(|b| disjoint(a.0, b.0)));
+            let region_exact = inputs_exact && inputs_disjoint;
+            for out in &region.outputs {
+                exact[out.0] = region_exact;
+                total_nets += 1;
+                if !region_exact {
+                    approx_nets += 1;
+                }
+            }
+        }
+        if total_nets == 0 {
+            0.0
+        } else {
+            approx_nets as f64 / total_nets as f64
+        }
+    }
+
+    /// The standard and large suites plus the four `scale-part`
+    /// netlists (smaller instances of them in debug builds).
+    fn reference_cases(lib: &Library) -> Vec<(String, CompiledCircuit)> {
+        let mut cases: Vec<(String, crate::Circuit)> = crate::suite::standard_suite(lib)
+            .into_iter()
+            .chain(crate::suite::large_suite(lib))
+            .map(|case| (case.name, case.circuit))
+            .collect();
+        let (adder, multiplier, control, iscas) = if cfg!(debug_assertions) {
+            (512, 16, 10_000, 5_000)
+        } else {
+            (4096, 48, 100_000, 25_000)
+        };
+        cases.push((
+            format!("rca{adder}"),
+            crate::map::map_default(&generators::ripple_carry_adder_generic(adder), lib),
+        ));
+        cases.push((
+            format!("mult{multiplier}"),
+            crate::map::map_default(&generators::array_multiplier_generic(multiplier), lib),
+        ));
+        cases.push((
+            format!("rnd_ctrl_{control}"),
+            generators::random_circuit(20, control, 1, lib),
+        ));
+        cases.push((
+            format!("rnd_iscas_{iscas}"),
+            generators::rnd_large(0x25000, iscas, lib),
+        ));
+        cases
+            .into_iter()
+            .map(|(name, circuit)| (name, compiled(&circuit, lib)))
+            .collect()
+    }
+
+    /// Packing options for a (region nodes, cut width) pair, derived as
+    /// the partitioned statistics backend derives them: the default, the
+    /// ladder's three halvings, narrower cuts and a small region.
+    fn reference_settings() -> Vec<PartitionOptions> {
+        [
+            (8192, 24),
+            (4096, 24),
+            (2048, 24),
+            (1024, 24),
+            (8192, 16),
+            (8192, 8),
+            (512, 4),
+        ]
+        .into_iter()
+        .map(|(nodes, width)| {
+            let cost = (nodes / 8).max(16);
+            PartitionOptions {
+                max_region_cost: cost,
+                max_region_inputs: width,
+                cut_fanout_threshold: 8,
+                expand_cost: (cost / 4).max(8),
+            }
+        })
+        .collect()
+    }
+
+    #[test]
+    fn skipping_hopeless_probes_and_cut_only_supports_change_nothing() {
+        let lib = Library::standard();
+        let settings = reference_settings();
+        let mut compared = 0;
+        for (name, cc) in reference_cases(&lib) {
+            for opts in &settings {
+                let p = partition(&cc, opts);
+                assert_eq!(p, pack(&cc, opts, false), "{name} {opts:?}");
+                assert_eq!(
+                    p.approx_fraction(&cc).to_bits(),
+                    approx_fraction_reference(&p, &cc).to_bits(),
+                    "{name} {opts:?}"
+                );
+                compared += 1;
+            }
+        }
+        assert_eq!(compared, 39 * settings.len());
+    }
+
+    #[test]
+    fn overlapping_supports_are_approximate_across_every_input_kind() {
+        // One gate per region: `p` reads two primary inputs, `q` a cut
+        // net beside a primary input in its support, `r` two cut nets
+        // sharing `b`, and `s` a cut net beside a disjoint input.
+        let lib = Library::standard();
+        let mut c = crate::Circuit::new("overlaps");
+        let [a, b, d, e] = ["a", "b", "d", "e"].map(|name| c.add_input(name));
+        let nand = |c: &mut crate::Circuit, x, y, name: &str| {
+            c.add_gate(tr_gatelib::CellKind::Nand(2), vec![x, y], name)
+                .1
+        };
+        let p = nand(&mut c, a, b, "p");
+        let q = nand(&mut c, p, a, "q");
+        let t = nand(&mut c, b, d, "t");
+        let r = nand(&mut c, p, t, "r");
+        let s = nand(&mut c, t, e, "s");
+        for out in [q, r, s] {
+            c.mark_output(out);
+        }
+        let cc = compiled(&c, &lib);
+        let part = partition(&cc, &PartitionOptions::every_net_cut());
+        check_invariants(&part, &cc);
+        // `q` and `r` are approximate; `p`, `t` and `s` are exact.
+        assert_eq!(part.approx_fraction(&cc), 2.0 / 5.0);
+        assert_eq!(approx_fraction_reference(&part, &cc), 2.0 / 5.0);
     }
 
     #[test]

@@ -55,6 +55,7 @@ use crate::model::MAX_CELL_ARITY;
 use crate::monte;
 use crate::partition::{packing_options, RegionEvaluator};
 use crate::{propagate, PropagationError, PropagationMode};
+use std::sync::Arc;
 use tr_bdd::{BuildOptions, CircuitBdds, EngineStats};
 use tr_boolean::govern::Governor;
 use tr_boolean::{prob, SignalStats};
@@ -72,8 +73,9 @@ pub struct PropagatorOptions {
     /// backend caps each region's budget with it.
     pub node_limit: Option<usize>,
     /// Governor every backend pass checks cooperatively: the BDD build,
-    /// every later statistics walk and repropagation (the governor stays
-    /// attached to the engine), and each Monte Carlo step.
+    /// every later statistics walk and repropagation (the propagator
+    /// keeps it and hands it to the engine at each refresh), and each
+    /// Monte Carlo step.
     pub governor: Option<Governor>,
     /// Explicit BDD variable order (a permutation of primary-input
     /// positions) instead of the default fanin-DFS heuristic — how the
@@ -104,22 +106,20 @@ struct PartitionState {
     approx_fraction: f64,
 }
 
-/// The engine a mode was built into, retained for cone refreshes.
+/// The engine a mode was built into, retained for cone refreshes. The
+/// BDD engines sit behind [`Arc`]: clones share them, and a refresh that
+/// has a cell change to re-derive copies a shared engine before writing
+/// to it ([`Arc::make_mut`]).
 #[derive(Debug, Clone)]
 enum Engine {
     /// Gate-local propagation: nothing to retain.
     Independent,
     /// The long-lived whole-circuit manager.
-    Exact(Box<CircuitBdds>),
+    Exact(Arc<CircuitBdds>),
     /// The partition plus its reusable single-region evaluator.
-    Partitioned(Box<PartitionState>),
-    /// The sampler's budget and seed, and the governor re-applied to
-    /// re-estimates (there is no engine to pin it to).
-    Monte {
-        steps: usize,
-        seed: u64,
-        governor: Option<Governor>,
-    },
+    Partitioned(Arc<PartitionState>),
+    /// The sampler's budget and seed.
+    Monte { steps: usize, seed: u64 },
 }
 
 fn cells_of(compiled: &CompiledCircuit) -> Vec<CellId> {
@@ -162,13 +162,16 @@ fn expander_map(partition: &Partition, n_gates: usize) -> Vec<Vec<u32>> {
 /// assert_eq!(dirty, vec![y]);
 /// assert!((prop.net_stats()[y.0].probability() - 0.25).abs() < 1e-15);
 /// ```
-/// Cloning duplicates the backend's entire engine state — BDD manager,
-/// partition evaluator, statistics vectors, cumulative counters — so the
-/// clone continues bit-for-bit where the original stood (a warm-cache
+/// A clone continues bit-for-bit where the original stood (a warm-cache
 /// server snapshots a freshly built propagator and replays requests
-/// against cheap clones). The attached [`Governor`] is shared with the
-/// original; use [`IncrementalPropagator::set_governor`] to give a clone
-/// its own.
+/// against clones). It copies the statistics vectors and counters but
+/// shares the BDD engine — manager or partition evaluator — copy on
+/// write: the first [`IncrementalPropagator::refresh`] with a cell
+/// change to re-derive copies the engine for the side that refreshes,
+/// and the other side keeps the original. A reordering-only refresh
+/// writes nothing, so it never copies. The attached [`Governor`] is
+/// shared with the original; use [`IncrementalPropagator::set_governor`]
+/// to give a clone its own, which copies nothing either.
 #[derive(Debug, Clone)]
 pub struct IncrementalPropagator {
     mode: PropagationMode,
@@ -178,6 +181,8 @@ pub struct IncrementalPropagator {
     /// whose cell still matches changed only its configuration.
     cells: Vec<CellId>,
     engine: Engine,
+    /// Handed to the engine at each refresh that writes to it.
+    governor: Option<Governor>,
     repropagations: usize,
     refreshed_nets: usize,
 }
@@ -298,7 +303,7 @@ impl IncrementalPropagator {
                 (
                     stats,
                     cells_of(&compiled),
-                    Engine::Partitioned(Box::new(state)),
+                    Engine::Partitioned(Arc::new(state)),
                 )
             }
             PropagationMode::ExactBdd | PropagationMode::PartitionedBdd { .. } => {
@@ -325,7 +330,7 @@ impl IncrementalPropagator {
                     )?,
                 };
                 let stats = bdds.exact_stats(pi_stats)?;
-                (stats, cells_of(&compiled), Engine::Exact(Box::new(bdds)))
+                (stats, cells_of(&compiled), Engine::Exact(Arc::new(bdds)))
             }
             PropagationMode::Monte { steps, seed } => {
                 let compiled = CompiledCircuit::compile(circuit, library)?;
@@ -338,12 +343,7 @@ impl IncrementalPropagator {
                     seed,
                     options.governor.as_ref(),
                 )?;
-                let engine = Engine::Monte {
-                    steps,
-                    seed,
-                    governor: options.governor.clone(),
-                };
-                (stats, cells_of(&compiled), engine)
+                (stats, cells_of(&compiled), Engine::Monte { steps, seed })
             }
         };
         Ok(IncrementalPropagator {
@@ -352,6 +352,7 @@ impl IncrementalPropagator {
             net_stats,
             cells,
             engine,
+            governor: options.governor.clone(),
             repropagations: 0,
             refreshed_nets: 0,
         })
@@ -365,13 +366,10 @@ impl IncrementalPropagator {
     /// Attaches (or with `None` detaches) a [`Governor`] for every
     /// subsequent refresh — how the degradation ladder stops enforcing a
     /// deadline once it has already degraded (the run must complete).
+    /// The engine receives it when a refresh writes to it, so this never
+    /// copies a shared engine.
     pub fn set_governor(&mut self, governor: Option<Governor>) {
-        match &mut self.engine {
-            Engine::Independent => {}
-            Engine::Exact(bdds) => bdds.set_governor(governor),
-            Engine::Partitioned(state) => state.evaluator.set_governor(governor),
-            Engine::Monte { governor: g, .. } => *g = governor,
-        }
+        self.governor = governor;
     }
 
     /// The current per-net statistics (valid for the last circuit seen).
@@ -509,6 +507,8 @@ impl IncrementalPropagator {
                 dirty
             }
             Engine::Exact(bdds) => {
+                let bdds = Arc::make_mut(bdds);
+                bdds.set_governor(self.governor.clone());
                 let dirty = bdds.repropagate(&compiled, library, &changed)?;
                 bdds.exact_stats_into(&self.pi_stats, &dirty, &mut self.net_stats)?;
                 dirty
@@ -521,6 +521,8 @@ impl IncrementalPropagator {
                 // is bit-for-bit the constructor's pass — a region whose
                 // inputs did not move reproduces identical statistics
                 // and the cascade stops there.
+                let state = Arc::make_mut(state);
+                state.evaluator.set_governor(self.governor.clone());
                 let n_regions = state.partition.regions().len();
                 let mut region_dirty = vec![false; n_regions];
                 for &g in &changed {
@@ -562,11 +564,7 @@ impl IncrementalPropagator {
                 }
                 dirty
             }
-            Engine::Monte {
-                steps,
-                seed,
-                governor,
-            } => {
+            Engine::Monte { steps, seed } => {
                 // Sampling has no cone structure to exploit; re-estimate
                 // with the same budget, interval and seed so an
                 // unchanged circuit reproduces its estimate exactly.
@@ -577,7 +575,7 @@ impl IncrementalPropagator {
                     *steps,
                     monte_dt(&self.pi_stats),
                     *seed,
-                    governor.as_ref(),
+                    self.governor.as_ref(),
                 )?;
                 (0..self.net_stats.len()).map(NetId).collect()
             }
@@ -674,6 +672,59 @@ mod tests {
             toggle_cell(&mut c, victim); // restore for the next mode
             prop.refresh(&c, &lib, &[victim]).unwrap();
             assert_eq!(prop.repropagations(), 2, "{mode}");
+        }
+    }
+
+    fn shares_engine(a: &IncrementalPropagator, b: &IncrementalPropagator) -> bool {
+        match (&a.engine, &b.engine) {
+            (Engine::Exact(x), Engine::Exact(y)) => Arc::ptr_eq(x, y),
+            (Engine::Partitioned(x), Engine::Partitioned(y)) => Arc::ptr_eq(x, y),
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn clones_share_the_engine_until_a_cell_change_is_refreshed() {
+        let lib = Library::standard();
+        let c = generators::carry_select_adder(8, 4, &lib);
+        let pi = pi_stats(c.primary_inputs().len());
+        let victim = pick_victim(&c);
+        let small_regions = PropagationMode::PartitionedBdd {
+            max_region_nodes: 512,
+            max_cut_width: 8,
+        };
+        for mode in [PropagationMode::ExactBdd, small_regions] {
+            let original = IncrementalPropagator::new(&c, &lib, &pi, mode).unwrap();
+            let stats = original.net_stats().to_vec();
+            let engine = original.engine_stats();
+            let mut clone = original.clone();
+            assert!(shares_engine(&original, &clone), "{mode}");
+            // A new governor and a reordering-only refresh copy nothing.
+            clone.set_governor(Some(Governor::new(None)));
+            let mut reordered = c.clone();
+            let n_configs = lib
+                .cell(&reordered.gate(victim).cell)
+                .unwrap()
+                .configurations()
+                .len();
+            reordered.set_config(victim, n_configs - 1);
+            assert!(clone
+                .refresh(&reordered, &lib, &[victim])
+                .unwrap()
+                .is_empty());
+            assert!(shares_engine(&original, &clone), "{mode}");
+            // A cell change copies the engine for the side that refreshes.
+            let mut edited = c.clone();
+            toggle_cell(&mut edited, victim);
+            assert!(!clone.refresh(&edited, &lib, &[victim]).unwrap().is_empty());
+            assert!(!shares_engine(&original, &clone), "{mode}");
+            assert_eq!(original.net_stats(), &stats[..], "{mode}");
+            assert_eq!(original.engine_stats(), engine, "{mode}");
+            assert_ne!(clone.engine_stats(), engine, "{mode}");
+            let fresh = IncrementalPropagator::new(&edited, &lib, &pi, mode).unwrap();
+            for (x, y) in clone.net_stats().iter().zip(fresh.net_stats()) {
+                assert!((x.probability() - y.probability()).abs() < 1e-12, "{mode}");
+            }
         }
     }
 

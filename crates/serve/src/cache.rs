@@ -9,7 +9,12 @@
 //! produces a bit-identical report (minus wall-clock timings).
 //!
 //! Keys are 128-bit content hashes of everything that shapes the
-//! artifacts (see `OptimizeRequest::cache_key`). Replacement is LRU
+//! artifacts (see `OptimizeRequest::cache_key`). A snapshot whose
+//! statistics degraded on node budgets alone is cached too, under a
+//! second key that folds in the node budget (the server's
+//! `degraded_key`), so it only ever answers requests under that budget.
+//! Snapshots share their BDD engine with every rehydrated clone (copy
+//! on write), so a warm hit copies no manager. Replacement is LRU
 //! under two simultaneous budgets — live BDD nodes and approximate
 //! heap bytes — because one `mult8`-class exact-backend entry costs
 //! orders of magnitude more than a 10-gate one and a plain entry-count
@@ -79,9 +84,12 @@ impl CacheEntry {
         self.results.lock().unwrap().get(&key).cloned()
     }
 
-    /// Memoizes a finished response. Callers must only pass
-    /// non-degraded results: a degraded answer reflects one request's
-    /// budget pressure, not the content, and must not be replayed.
+    /// Memoizes a finished response. Callers must only pass results
+    /// that are a function of the request: undegraded, or degraded by
+    /// nothing but the entry's own node-budget ladder (a degraded
+    /// snapshot's later stages run ungoverned, so they cannot add to
+    /// it). A deadline trip reflects one request's timing, not the
+    /// content, and must not be replayed.
     pub fn memoize(&self, key: u128, json: &str) {
         let mut results = self.results.lock().unwrap();
         if results.len() < MAX_RESULTS_PER_ENTRY {
@@ -105,10 +113,11 @@ struct Inner {
 }
 
 /// Thread-safe LRU over [`CacheEntry`]s, bounded by live-BDD-node and
-/// byte budgets. Hit/miss/evict totals are mirrored into the
-/// `tr_trace::metrics` registry (`serve.cache.{hit,miss,evict}`) for
-/// the `/metrics` endpoint and kept as local atomics so tests don't
-/// race the process-global registry.
+/// byte budgets. Hit/miss/evict totals, and the inserts of degraded
+/// snapshots and hits on them, are mirrored into the `tr_trace::metrics`
+/// registry (`serve.cache.{hit,miss,evict,degraded_insert,
+/// degraded_replay}`) for the `/metrics` endpoint and kept as local
+/// atomics so tests don't race the process-global registry.
 pub struct WarmCache {
     inner: Mutex<Inner>,
     node_budget: usize,
@@ -116,6 +125,8 @@ pub struct WarmCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    degraded_inserts: AtomicU64,
+    degraded_replays: AtomicU64,
 }
 
 impl WarmCache {
@@ -134,6 +145,8 @@ impl WarmCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            degraded_inserts: AtomicU64::new(0),
+            degraded_replays: AtomicU64::new(0),
         }
     }
 
@@ -144,22 +157,33 @@ impl WarmCache {
 
     /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&self, key: u128) -> Option<Arc<CacheEntry>> {
+        self.get_any(&[key])
+    }
+
+    /// Looks up `keys` in order and returns the first resident entry,
+    /// refreshing its recency: one hit or one miss, however many keys
+    /// were tried.
+    pub fn get_any(&self, keys: &[u128]) -> Option<Arc<CacheEntry>> {
         let mut inner = self.inner.lock().unwrap();
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.map.get_mut(&key) {
-            Some(slot) => {
-                slot.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                metrics::counter("serve.cache.hit").inc();
-                Some(Arc::clone(&slot.entry))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                metrics::counter("serve.cache.miss").inc();
-                None
-            }
+        let Some(slot) = keys
+            .iter()
+            .find(|key| inner.map.contains_key(key))
+            .and_then(|key| inner.map.get_mut(key))
+        else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            metrics::counter("serve.cache.miss").inc();
+            return None;
+        };
+        slot.last_used = tick;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        metrics::counter("serve.cache.hit").inc();
+        if slot.entry.snapshot.degraded() {
+            self.degraded_replays.fetch_add(1, Ordering::Relaxed);
+            metrics::counter("serve.cache.degraded_replay").inc();
         }
+        Some(Arc::clone(&slot.entry))
     }
 
     /// Inserts (or replaces) the entry for `key`, then evicts
@@ -170,6 +194,10 @@ impl WarmCache {
     pub fn insert(&self, key: u128, circuit: Circuit, snapshot: StatsSnapshot) -> Arc<CacheEntry> {
         let nodes = snapshot.live_bdd_nodes();
         let bytes = snapshot.approx_heap_bytes();
+        if snapshot.degraded() {
+            self.degraded_inserts.fetch_add(1, Ordering::Relaxed);
+            metrics::counter("serve.cache.degraded_insert").inc();
+        }
         let entry = Arc::new(CacheEntry {
             circuit,
             snapshot,
@@ -229,6 +257,15 @@ impl WarmCache {
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
             self.evictions.load(Ordering::Relaxed),
+        )
+    }
+
+    /// Lifetime (inserts, hits) of degraded snapshots in this cache
+    /// instance.
+    pub fn degraded_stats(&self) -> (u64, u64) {
+        (
+            self.degraded_inserts.load(Ordering::Relaxed),
+            self.degraded_replays.load(Ordering::Relaxed),
         )
     }
 }

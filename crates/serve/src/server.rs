@@ -8,7 +8,9 @@
 //! body, clamps the requested budgets against the server caps, then
 //! either *rehydrates* a warm-cache entry (skipping parse, map,
 //! compile and BDD build) or runs the cold path and snapshots the
-//! staged artifacts for next time. Each stage a request runs is timed:
+//! staged artifacts for next time — also when the statistics degraded
+//! on node budgets alone, under a key that folds the budget in (see
+//! [`degraded_key`]). Each stage a request runs is timed:
 //! the response names them in a `Server-Timing` header and `/metrics`
 //! keeps a `serve.stage.<name>_us` histogram per stage. Shutdown —
 //! [`ServerHandle::shutdown`] or SIGTERM — stops the accept loop and
@@ -234,6 +236,11 @@ impl ServerHandle {
     /// registry.
     pub fn cache_stats(&self) -> (u64, u64, u64) {
         self.shared.cache.stats()
+    }
+
+    /// This instance's (inserts, hits) of degraded warm-cache entries.
+    pub fn degraded_cache_stats(&self) -> (u64, u64) {
+        self.shared.cache.degraded_stats()
     }
 
     /// Resident warm-cache entries.
@@ -523,7 +530,9 @@ impl Stages {
 /// response JSON plus the `X-Cache` verdict. Every request runs the
 /// `key` and `lookup` stages; a memoized replay stops there, a warm hit
 /// adds `rehydrate`, `optimize` and `render`, and a miss adds `load`,
-/// `stats`, `snapshot`, `optimize` and `render`.
+/// `stats`, `snapshot`, `optimize` and `render`. A request with
+/// degradation on looks up its content key, then its
+/// [`degraded_key`].
 fn run_optimize(
     shared: &Shared,
     preq: &OptimizeRequest,
@@ -534,14 +543,18 @@ fn run_optimize(
     let env = &shared.env;
     let (budget, threads) = clamp(&preq.knobs, &shared.config);
     let flow = request_flow(preq, budget, threads);
-    let (key, rkey) = stages.time("key", || {
+    let (key, dkey, rkey) = stages.time("key", || {
+        let key = preq.cache_key(&shared.library_fingerprint);
         (
-            preq.cache_key(&shared.library_fingerprint),
+            key,
+            degraded_key(key, budget.bdd_node_budget),
             result_key(preq, &shared.config, threads, analyze_only),
         )
     });
     let found = stages.time("lookup", || {
-        shared.cache.get(key).map(|entry| {
+        let keys = [key, dkey];
+        let tried = if preq.knobs.degrade { 2 } else { 1 };
+        shared.cache.get_any(&keys[..tried]).map(|entry| {
             let memo = entry.result(rkey);
             (entry, memo)
         })
@@ -560,7 +573,7 @@ fn run_optimize(
         let stage = stages.time("rehydrate", || {
             flow.rehydrate(env, &entry.circuit, &entry.snapshot)
         })?;
-        let (json, degraded) = finish(
+        let (json, tripped) = finish(
             &flow,
             env,
             &entry.circuit,
@@ -571,7 +584,7 @@ fn run_optimize(
             analyze_only,
             stages,
         )?;
-        if !degraded {
+        if !tripped {
             entry.memoize(rkey, &json);
         }
         return Ok((json, "hit"));
@@ -595,11 +608,12 @@ fn run_optimize(
     let load_s = t.elapsed().as_secs_f64();
     let stage = stages.time("stats", || flow.prepare_stats(env, &circuit))?;
     let entry = stages.time("snapshot", || {
-        stage
-            .snapshot()
-            .map(|snapshot| shared.cache.insert(key, circuit.clone(), snapshot))
+        stage.snapshot().map(|snapshot| {
+            let key = if snapshot.degraded() { dkey } else { key };
+            shared.cache.insert(key, circuit.clone(), snapshot)
+        })
     });
-    let (json, degraded) = finish(
+    let (json, tripped) = finish(
         &flow,
         env,
         &circuit,
@@ -610,10 +624,19 @@ fn run_optimize(
         analyze_only,
         stages,
     )?;
-    if let (Some(entry), false) = (entry, degraded) {
+    if let (Some(entry), false) = (entry, tripped) {
         entry.memoize(rkey, &json);
     }
     Ok((json, "miss"))
+}
+
+/// The key of a degraded entry: the content key with the clamped node
+/// budget folded in. A node-budget degradation is a function of the
+/// budget, so a degraded entry answers only requests under the same one
+/// — and with `degrade: true`, since a request with degradation off
+/// never looks this key up.
+fn degraded_key(key: u128, node_budget: Option<usize>) -> u128 {
+    content_key(&[&key.to_le_bytes(), format!("{node_budget:?}").as_bytes()])
 }
 
 /// The key for per-entry response memoization: everything that shapes
@@ -650,8 +673,9 @@ fn result_key(
 
 /// Stages 3–7 (optimize) or the read-only summary (analyze), timed as
 /// the `optimize` stage, then the response JSON, timed as `render`.
-/// Returns the JSON plus whether the run degraded (degraded responses
-/// must not be memoized).
+/// Returns the JSON plus whether the run degraded after its statistics
+/// stage, i.e. a deadline tripped (such responses must not be
+/// memoized).
 #[allow(clippy::too_many_arguments)]
 fn finish(
     flow: &Flow,
@@ -672,7 +696,6 @@ fn finish(
                 circuit.logic_depth(),
             )
         });
-        let degraded = stage.degraded();
         let json = stages.time("render", || {
             format!(
                 "{{\"circuit\": {}, \"scenario\": {}, \"gates\": {}, \"inputs\": {}, \
@@ -687,16 +710,17 @@ fn finish(
                 json_f64(power.total),
                 json_f64(delay),
                 json_opt_f64(stage.independence_error()),
-                degraded
+                stage.degraded()
             )
         });
-        return Ok((json, degraded));
+        return Ok((json, false));
     }
+    let stage_degraded = stage.degraded();
     let (report, _) = stages.time("optimize", || {
         flow.run_staged(env, circuit, preq.name.clone(), load_s, stage, scratch)
     })?;
     let json = stages.time("render", || report.to_json());
-    Ok((json, report.degraded))
+    Ok((json, report.degraded && !stage_degraded))
 }
 
 fn handle_batch(shared: &Shared, req: &Request, out: &mut TcpStream) -> io::Result<()> {

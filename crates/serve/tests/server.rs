@@ -186,6 +186,95 @@ fn server_timing_names_the_stages_each_request_ran() {
     join.join().unwrap().unwrap();
 }
 
+/// The one-NAND netlist of the CI server smoke step: two nodes are too
+/// few for its exact BDDs under any order.
+const NAND2: &str = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n";
+
+/// A statistics stage that degraded on its node budget alone is a
+/// function of the request, so the server caches it under that budget:
+/// the exact repeat replays the memoized body, a renamed repeat
+/// rehydrates the degraded snapshot and matches the cold answer, and
+/// neither a larger budget nor `degrade: false` ever receives it. A
+/// deadline trip depends on the clock and is never cached.
+#[test]
+fn node_budget_degradations_are_cached_under_their_budget() {
+    let (handle, join, addr) = spawn(cfg());
+    let knobs = "\"prob\": \"bdd\", \"node_budget\": 2, \"scenario\": \"a:5\"";
+    let body = optimize_body("nand", NAND2, knobs);
+    let cold = post(addr, "/optimize", &body);
+    assert_eq!(cold.status, 200, "{}", cold.text());
+    assert_eq!(cold.header("x-cache"), Some("miss"));
+    let cold_text = cold.text().into_owned();
+    assert!(
+        cold_text.contains(
+            "\"degraded\":true,\"degrade_reason\":\"exact BDD propagation failed: BDD node limit"
+        ),
+        "{cold_text}"
+    );
+
+    let memo = post(addr, "/optimize", &body);
+    assert_eq!(memo.header("x-cache"), Some("hit"));
+    assert_eq!(stage_names(&memo), ["decode", "key", "lookup"]);
+    assert_eq!(memo.body, cold.body, "a memoized replay is byte-identical");
+
+    let renamed = post(addr, "/optimize", &optimize_body("nand-2", NAND2, knobs));
+    assert_eq!(renamed.header("x-cache"), Some("hit"));
+    assert_eq!(
+        stage_names(&renamed),
+        ["decode", "key", "lookup", "rehydrate", "optimize", "render"]
+    );
+    assert_eq!(
+        strip_timings(&renamed.text()),
+        strip_timings(&cold_text).replacen("\"circuit\":\"nand\"", "\"circuit\":\"nand-2\"", 1)
+    );
+    assert_eq!(handle.degraded_cache_stats(), (1, 2));
+
+    // Degradation off: the blown budget is the request's error.
+    let strict = post(
+        addr,
+        "/optimize",
+        &optimize_body("nand", NAND2, &format!("{knobs}, \"degrade\": false")),
+    );
+    assert_eq!(strict.status, 500, "{}", strict.text());
+    assert!(strict.text().contains("node limit"), "{}", strict.text());
+    // A larger budget builds the exact statistics cold.
+    let larger = post(
+        addr,
+        "/optimize",
+        &optimize_body(
+            "nand",
+            NAND2,
+            "\"prob\": \"bdd\", \"node_budget\": 64, \"scenario\": \"a:5\"",
+        ),
+    );
+    assert_eq!(larger.header("x-cache"), Some("miss"));
+    assert!(
+        larger.text().contains("\"degraded\":false"),
+        "{}",
+        larger.text()
+    );
+
+    let deadline = optimize_body(
+        "nand",
+        NAND2,
+        "\"prob\": \"bdd\", \"deadline_ms\": 0, \"scenario\": \"a:6\"",
+    );
+    for _ in 0..2 {
+        let tripped = post(addr, "/optimize", &deadline);
+        assert_eq!(tripped.status, 200, "{}", tripped.text());
+        assert_eq!(tripped.header("x-cache"), Some("miss"));
+        assert!(tripped.text().contains("\"degraded\":true"));
+    }
+    assert_eq!(handle.degraded_cache_stats(), (1, 2));
+
+    let text = get(addr, "/metrics").text().into_owned();
+    for name in ["serve_cache_degraded_insert", "serve_cache_degraded_replay"] {
+        assert!(text.contains(name), "missing metric `{name}` in:\n{text}");
+    }
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
 /// Satellite: requests differing only in scenario seed, scenario kind,
 /// backend, backend knobs, or order heuristic must not alias in the
 /// cache; a one-byte netlist edit must miss.
